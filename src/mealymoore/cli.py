@@ -168,6 +168,8 @@ def _cmd_check(args):
                 raise MachineError("check pentagon takes four machine files")
             cells = [load_machine(f) for f in args.files]
             return _verdict("pentagon", check_pentagon(*cells))
+        if args.samples < 1:
+            raise MachineError("check pentagon needs --samples ≥ 1")
         rng = random.Random(args.seed)
         sizes = [rng.randint(1, 2) for _ in range(5)]
         alphabets = [

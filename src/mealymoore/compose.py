@@ -2,10 +2,13 @@
 
 The composite of ``first : A↝B`` followed by ``second : B↝C`` has
 carrier the ordered pairs ``(f, e)`` with ``f`` a state of the second
-machine and ``e`` a state of the first; the downstream machine consumes
-the upstream machine's output letter at each step.  Whenever one factor
-is Moore, the composite output table is letter-independent and the
-result is returned as a MooreMachine (``ltimes`` / ``rtimes``).
+machine and ``e`` a state of the first.  All four kinds of composite
+are one cascade, ``compose_cells``, read through the embedding J of
+Moore into Mealy machines: at each step the downstream machine consumes
+the letter that J(first) emits.  Whenever one factor is Moore, the
+composite output table is letter-independent and the result is returned
+as a MooreMachine.  ``compose_mealy``, ``compose_moore``, ``ltimes`` and
+``rtimes`` are the same cascade restricted to one pair of kinds.
 
 Composition is associative only up to the re-bracketing bijection
 returned by ``associator``; ``check_pentagon`` verifies the coherence of
@@ -23,6 +26,7 @@ from .core import (
     MealyMachine,
     MooreMachine,
     StateMap,
+    _j_out,
     is_homomorphism,
 )
 
@@ -35,77 +39,59 @@ def _require_chain(second, first):
         )
 
 
-def _pair_states(second, first):
-    return tuple((f, e) for f in second.states for e in first.states)
+def compose_cells(second: Machine, first: Machine) -> Machine:
+    """The cascade second⋄first of cells of any kinds, read through J.
+
+    With b = out_J(first)(e, a): delta((f,e), a) = (delta₂(f, b), delta₁(e, a))
+    and out((f,e), a) = out_J(second)(f, b).  When either factor is Moore
+    this output ignores a, and the composite is a MooreMachine."""
+    _require_chain(second, first)
+    emit, read = _j_out(first), _j_out(second)
+    letters = first.input.symbols
+    states = tuple((f, e) for f in second.states for e in first.states)
+    delta = {
+        ((f, e), a): (second.delta[(f, emit[(e, a)])], first.delta[(e, a)])
+        for f, e in states for a in letters
+    }
+    if isinstance(second, MealyMachine) and isinstance(first, MealyMachine):
+        out = {((f, e), a): read[(f, emit[(e, a)])] for f, e in states for a in letters}
+        return MealyMachine(first.input, second.output, states, delta, out)
+    a = letters[0]  # the output ignores the letter, so read it at any one
+    out = {(f, e): read[(f, emit[(e, a)])] for f, e in states}
+    return MooreMachine(first.input, second.output, states, delta, out)
+
+
+def _require_kinds(name, second, first, second_kind, first_kind):
+    if not isinstance(second, second_kind) or not isinstance(first, first_kind):
+        raise KindMismatch("%s takes a %s after a %s"
+                           % (name, second_kind.__name__, first_kind.__name__))
 
 
 def compose_mealy(second: MealyMachine, first: MealyMachine) -> MealyMachine:
     """Cascade of two Mealy machines: out((f,e),a) = out₂(f, out₁(e,a))."""
-    _require_chain(second, first)
-    states = _pair_states(second, first)
-    delta, out = {}, {}
-    for f, e in states:
-        for a in first.input.symbols:
-            b = first.out[(e, a)]
-            delta[((f, e), a)] = (second.delta[(f, b)], first.delta[(e, a)])
-            out[((f, e), a)] = second.out[(f, b)]
-    return MealyMachine(first.input, second.output, states, delta, out)
+    _require_kinds("compose_mealy", second, first, MealyMachine, MealyMachine)
+    return compose_cells(second, first)
 
 
 def compose_moore(second: MooreMachine, first: MooreMachine) -> MooreMachine:
     """Cascade of two Moore machines: the downstream machine reads the
     upstream machine's current output, and the composite emits out₂(f)."""
-    _require_chain(second, first)
-    states = _pair_states(second, first)
-    delta = {}
-    for f, e in states:
-        b = first.out[e]
-        for a in first.input.symbols:
-            delta[((f, e), a)] = (second.delta[(f, b)], first.delta[(e, a)])
-    out = {(f, e): second.out[f] for f, e in states}
-    return MooreMachine(first.input, second.output, states, delta, out)
+    _require_kinds("compose_moore", second, first, MooreMachine, MooreMachine)
+    return compose_cells(second, first)
 
 
 def ltimes(n: MooreMachine, m: MealyMachine) -> MooreMachine:
     """Moore-after-Mealy composite n⋄m; Moore overrides Mealy, so the
     result is a Moore machine outputting out_n(f)."""
-    if not isinstance(n, MooreMachine) or not isinstance(m, MealyMachine):
-        raise KindMismatch("ltimes takes a Moore machine after a Mealy machine")
-    _require_chain(n, m)
-    states = _pair_states(n, m)
-    delta = {}
-    for f, e in states:
-        for a in m.input.symbols:
-            delta[((f, e), a)] = (n.delta[(f, m.out[(e, a)])], m.delta[(e, a)])
-    out = {(f, e): n.out[f] for f, e in states}
-    return MooreMachine(m.input, n.output, states, delta, out)
+    _require_kinds("ltimes", n, m, MooreMachine, MealyMachine)
+    return compose_cells(n, m)
 
 
 def rtimes(m: MealyMachine, n: MooreMachine) -> MooreMachine:
     """Mealy-after-Moore composite m⋄n; the output out_m(e, out_n(f)) is
     letter-independent, so the result is again a Moore machine."""
-    if not isinstance(m, MealyMachine) or not isinstance(n, MooreMachine):
-        raise KindMismatch("rtimes takes a Mealy machine after a Moore machine")
-    _require_chain(m, n)
-    states = _pair_states(m, n)
-    delta = {}
-    for e, f in states:
-        b = n.out[f]
-        for a in n.input.symbols:
-            delta[((e, f), a)] = (m.delta[(e, b)], n.delta[(f, a)])
-    out = {(e, f): m.out[(e, n.out[f])] for e, f in states}
-    return MooreMachine(n.input, m.output, states, delta, out)
-
-
-def compose_cells(second: Machine, first: Machine) -> Machine:
-    """Kind-dispatching sequential composition of two cells."""
-    if isinstance(second, MooreMachine):
-        if isinstance(first, MooreMachine):
-            return compose_moore(second, first)
-        return ltimes(second, first)
-    if isinstance(first, MooreMachine):
-        return rtimes(second, first)
-    return compose_mealy(second, first)
+    _require_kinds("rtimes", m, n, MealyMachine, MooreMachine)
+    return compose_cells(m, n)
 
 
 @dataclass(frozen=True)
@@ -185,6 +171,10 @@ def check_j_compatibilities(m: Machine, n: Machine) -> bool:
     - m Mealy, n Moore:  J(m⋄n) = m⋄Jn
     - m Moore, n Mealy:  J(m⋄n) = Jm⋄n
     - m, n both Moore:   m⋄Jn = Jm⋄n  and  J(m⋄n) = Jm⋄Jn
+
+    These hold by definition: ``compose_cells`` cascades the J-images of
+    the factors and ``embed_j`` reads outputs through the same helper, so
+    the per-kind formulas are tested against an independent oracle.
     """
     from .universal import embed_j
 

@@ -88,78 +88,62 @@ class Alphabet:
         return len(self.symbols)
 
 
-def _check_states(states):
-    states = tuple(states)
-    if len(states) < 1:
-        raise MachineError("a machine needs at least one state")
-    if len(set(states)) != len(states):
-        raise DuplicateName("repeated state names")
-    return states
+ENUMERATION_GUARD = 10**7  # most candidates an exhaustive enumeration may visit
 
 
-def _check_delta(states, alphabet, delta):
-    stateset = set(states)
-    expected = {(e, a) for e in states for a in alphabet.symbols}
-    keys = set(delta)
-    if keys - expected:
-        raise UnknownSymbol("delta entry for undeclared %r" % (next(iter(keys - expected)),))
-    if expected - keys:
-        raise MissingEntry("delta lacks entry for %r" % (next(iter(expected - keys)),))
-    for target in delta.values():
-        if target not in stateset:
-            raise UnknownSymbol("delta target %r is not a declared state" % (target,))
+def _check_table(what, table, expected, allowed, bad_value):
+    """A table must have exactly the expected keys, and every value must
+    lie in ``allowed``."""
+    if table.keys() != expected:
+        extra = table.keys() - expected
+        if extra:
+            raise UnknownSymbol("%s entry for undeclared %r" % (what, next(iter(extra))))
+        raise MissingEntry("%s lacks entry for %r" % (what, next(iter(expected - table.keys()))))
+    for value in table.values():
+        if value not in allowed:
+            raise UnknownSymbol(bad_value % (value,))
 
 
 @dataclass(frozen=True)
-class MealyMachine:
+class _Machine:
+    """The fields and table check of both kinds.  The tables are copied,
+    so mutating the caller's dicts cannot break a validated machine."""
+
+    input: Alphabet
+    output: Alphabet
+    states: tuple[State, ...]
+    delta: Mapping[tuple[State, Letter], State]
+    out: Mapping
+
+    def __post_init__(self):
+        states = tuple(self.states)
+        stateset = set(states)
+        if not states:
+            raise MachineError("a machine needs at least one state")
+        if len(stateset) != len(states):
+            raise DuplicateName("repeated state names")
+        delta, out = dict(self.delta), dict(self.out)
+        cells = {(e, a) for e in states for a in self.input.symbols}
+        _check_table("delta", delta, cells, stateset, "delta target %r is not a declared state")
+        _check_table("out", out, cells if self._out_by_letter else stateset,
+                     self.output.symbols, "output letter %r is not in the output alphabet")
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "out", out)
+
+    __hash__ = None
+
+
+class MealyMachine(_Machine):
     """A 1-cell A↝B with letter-dependent output out(e, a)."""
 
-    input: Alphabet
-    output: Alphabet
-    states: tuple[State, ...]
-    delta: Mapping[tuple[State, Letter], State]
-    out: Mapping[tuple[State, Letter], Letter]
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", _check_states(self.states))
-        _check_delta(self.states, self.input, self.delta)
-        expected = {(e, a) for e in self.states for a in self.input.symbols}
-        keys = set(self.out)
-        if keys - expected:
-            raise UnknownSymbol("out entry for undeclared %r" % (next(iter(keys - expected)),))
-        if expected - keys:
-            raise MissingEntry("out lacks entry for %r" % (next(iter(expected - keys)),))
-        for letter in self.out.values():
-            if letter not in self.output:
-                raise UnknownSymbol("output letter %r is not in the output alphabet" % (letter,))
-
-    __hash__ = None
+    _out_by_letter = True
 
 
-@dataclass(frozen=True)
-class MooreMachine:
+class MooreMachine(_Machine):
     """A 1-cell A↝B with letter-independent output out(e)."""
 
-    input: Alphabet
-    output: Alphabet
-    states: tuple[State, ...]
-    delta: Mapping[tuple[State, Letter], State]
-    out: Mapping[State, Letter]
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", _check_states(self.states))
-        _check_delta(self.states, self.input, self.delta)
-        expected = set(self.states)
-        keys = set(self.out)
-        if keys - expected:
-            raise UnknownSymbol("out entry for undeclared state %r" % (next(iter(keys - expected)),))
-        if expected - keys:
-            raise MissingEntry("out lacks entry for state %r" % (next(iter(expected - keys)),))
-        for letter in self.out.values():
-            if letter not in self.output:
-                raise UnknownSymbol("output letter %r is not in the output alphabet" % (letter,))
-
-    __hash__ = None
+    _out_by_letter = False
 
 
 Machine = Union[MealyMachine, MooreMachine]
@@ -171,10 +155,17 @@ def _raw_alphabet(name, symbols):
     return Alphabet(name, tuple(str(s) for s in symbols))
 
 
-def _flatten_table(states, table, what):
-    """Turn a nested {state: {letter: value}} table into (state, letter) keys."""
+def _flatten_table(table, what, nested=True):
+    """Check a raw table keyed by state.  Nested {state: {letter: value}}
+    tables are flattened to (state, letter) keys; flat ones (a Moore
+    output table) must map each state to a bare value."""
     if not isinstance(table, Mapping):
         raise MissingEntry("%s must be a table keyed by state" % what)
+    if not nested:
+        for e, v in table.items():
+            if isinstance(v, Mapping):
+                raise MissingEntry("%s[%r]: a Moore output table maps states to letters" % (what, e))
+        return table
     flat = {}
     for e, row in table.items():
         if not isinstance(row, Mapping):
@@ -184,33 +175,33 @@ def _flatten_table(states, table, what):
     return flat
 
 
-def validate_mealy(raw: Mapping) -> MealyMachine:
-    """Build a MealyMachine from a raw description (parsed machine file)."""
+def _validate_raw(raw, cls):
     inp = _raw_alphabet("input", raw.get("input"))
     outp = _raw_alphabet("output", raw.get("output"))
     states = raw.get("states")
     if not isinstance(states, (list, tuple)):
         raise MissingEntry("states must be a list")
-    delta = _flatten_table(states, raw.get("delta", {}), "delta")
-    out = _flatten_table(states, raw.get("out", {}), "out")
-    return MealyMachine(inp, outp, tuple(states), delta, out)
+    delta = _flatten_table(raw.get("delta", {}), "delta")
+    out = _flatten_table(raw.get("out", {}), "out", nested=cls is MealyMachine)
+    return cls(inp, outp, tuple(states), delta, out)
+
+
+def validate_mealy(raw: Mapping) -> MealyMachine:
+    """Build a MealyMachine from a raw description (parsed machine file)."""
+    return _validate_raw(raw, MealyMachine)
 
 
 def validate_moore(raw: Mapping) -> MooreMachine:
     """Build a MooreMachine from a raw description (parsed machine file)."""
-    inp = _raw_alphabet("input", raw.get("input"))
-    outp = _raw_alphabet("output", raw.get("output"))
-    states = raw.get("states")
-    if not isinstance(states, (list, tuple)):
-        raise MissingEntry("states must be a list")
-    delta = _flatten_table(states, raw.get("delta", {}), "delta")
-    out = raw.get("out", {})
-    if not isinstance(out, Mapping):
-        raise MissingEntry("out must be a table keyed by state")
-    for e, v in out.items():
-        if isinstance(v, Mapping):
-            raise MissingEntry("out[%r]: a Moore output table maps states to letters" % (e,))
-    return MooreMachine(inp, outp, tuple(states), delta, dict(out))
+    return _validate_raw(raw, MooreMachine)
+
+
+def _j_out(m: Machine) -> Mapping:
+    """m's output as a Mealy table out(e, a): for a Moore machine, that of
+    its image under the embedding J, which ignores the letter."""
+    if isinstance(m, MealyMachine):
+        return m.out
+    return {(e, a): m.out[e] for e in m.states for a in m.input.symbols}
 
 
 def identity_cell(a: Alphabet) -> MealyMachine:

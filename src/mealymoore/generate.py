@@ -10,7 +10,7 @@ import itertools
 import random
 from typing import Iterator
 
-from .core import Alphabet, EnumerationTooLarge, MealyMachine, MooreMachine
+from .core import ENUMERATION_GUARD, Alphabet, EnumerationTooLarge, MealyMachine, MooreMachine
 
 
 def _state_names(n):
@@ -47,20 +47,20 @@ def all_moore(inp: Alphabet, outp: Alphabet, n_states: int) -> Iterator[MooreMac
             yield MooreMachine(inp, outp, states, delta, dict(zip(states, letters)))
 
 
-def all_mealy_up_to(inp, outp, max_states, guard=10**7):
-    total = sum(count_mealy(inp, outp, k) for k in range(1, max_states + 1))
-    if total > guard:
+def _all_up_to(count, enumerate_exactly, inp, outp, max_states):
+    total = sum(count(inp, outp, k) for k in range(1, max_states + 1))
+    if total > ENUMERATION_GUARD:
         raise EnumerationTooLarge("%d machines exceed the guard" % total)
     for k in range(1, max_states + 1):
-        yield from all_mealy(inp, outp, k)
+        yield from enumerate_exactly(inp, outp, k)
 
 
-def all_moore_up_to(inp, outp, max_states, guard=10**7):
-    total = sum(count_moore(inp, outp, k) for k in range(1, max_states + 1))
-    if total > guard:
-        raise EnumerationTooLarge("%d machines exceed the guard" % total)
-    for k in range(1, max_states + 1):
-        yield from all_moore(inp, outp, k)
+def all_mealy_up_to(inp, outp, max_states):
+    return _all_up_to(count_mealy, all_mealy, inp, outp, max_states)
+
+
+def all_moore_up_to(inp, outp, max_states):
+    return _all_up_to(count_moore, all_moore, inp, outp, max_states)
 
 
 def random_mealy(rng: random.Random, inp: Alphabet, outp: Alphabet, n_states: int) -> MealyMachine:

@@ -16,11 +16,13 @@ from typing import Optional
 
 from .compose import ltimes, rtimes
 from .core import (
+    ENUMERATION_GUARD,
     Alphabet,
     EndpointMismatch,
     EnumerationTooLarge,
     KindMismatch,
     Machine,
+    MachineError,
     MealyMachine,
     MooreMachine,
     NotAHomomorphism,
@@ -29,11 +31,9 @@ from .core import (
     _is_hom_tables,
     is_homomorphism,
 )
-from .generate import all_moore_up_to, count_moore
+from .generate import all_moore_up_to
 from .semantics import PointedMachine, bisimilar
 from .universal import apply_D1, decapitate, embed_j, is_soft, moorify
-
-ENUMERATION_GUARD = 10**7
 
 
 @dataclass(frozen=True)
@@ -198,9 +198,8 @@ def search_moore_identity(
     and test whether U⋄m and m⋄U are bisimilar to m pointwise for every
     probe m.  The survivor list is expected to be empty whenever some
     probe has a letter-dependent output table."""
-    total = sum(count_moore(a, a, k) for k in range(1, max_states + 1))
-    if total > ENUMERATION_GUARD:
-        raise EnumerationTooLarge("%d candidate machines exceed the guard" % total)
+    if max_states < 1:
+        raise MachineError("max_states must be ≥ 1")
     survivors = []
     failures = []
     checked = 0

@@ -9,7 +9,8 @@
 Unknown top-level fields are rejected.  Serialization renders composite
 (tuple) states as "⟨f,e⟩", second-machine state first, so composed
 machines stay auditable; parse(serialize(m)) == m for machines whose
-states are plain names.
+states are plain names.  Distinct states that render to one name, such
+as ("a", "b,c") and ("a,b", "c"), are refused: the file would not load.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 from typing import Union
 
 from .core import (
+    DuplicateName,
     Machine,
     MachineError,
     MealyMachine,
@@ -80,8 +82,12 @@ def render_state(s: Union[str, tuple]) -> str:
 
 
 def machine_to_raw(m: Machine) -> dict:
-    states = [render_state(e) for e in m.states]
-    name = {e: render_state(e) for e in m.states}
+    name, owner = {}, {}
+    for e in m.states:
+        text = name[e] = render_state(e)
+        if owner.setdefault(text, e) != e:
+            raise DuplicateName("states %r and %r both render as %r" % (owner[text], e, text))
+    states = list(name.values())
     delta = {name[e]: {} for e in m.states}
     for (e, a), target in m.delta.items():
         delta[name[e]][a] = name[target]
@@ -109,5 +115,6 @@ def serialize_machine(m: Machine) -> str:
 
 
 def save_machine(m: Machine, path) -> None:
+    text = serialize_machine(m)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize_machine(m))
+        handle.write(text)

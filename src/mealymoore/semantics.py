@@ -22,6 +22,7 @@ from .core import (
     Letter,
     LetterOutOfAlphabet,
     Machine,
+    MachineError,
     MealyMachine,
     MooreMachine,
     State,
@@ -137,7 +138,7 @@ def check_extension_square(m: MooreMachine, maxlen: int) -> bool:
     from .universal import apply_D1
 
     if maxlen < 1:
-        raise ValueError("maxlen must be ≥ 1")
+        raise MachineError("maxlen must be ≥ 1")
     d1 = apply_D1(m)
     letters = m.input.symbols
     for start in m.states:

@@ -16,17 +16,18 @@ from typing import Iterable, Optional
 
 from .compose import ltimes
 from .core import (
+    ENUMERATION_GUARD,
     Alphabet,
     EnumerationTooLarge,
     Letter,
     LetterOutOfAlphabet,
     Machine,
+    MachineError,
     MealyMachine,
     MooreMachine,
     State,
+    _j_out,
 )
-
-ENUMERATION_GUARD = 10**7
 
 
 def universal_u(x: Alphabet) -> MooreMachine:
@@ -60,7 +61,7 @@ def pinfty_carrier_check(x: Alphabet, depth: int) -> int:
     from .semantics import words_up_to
 
     if depth < 1:
-        raise ValueError("depth must be ≥ 1")
+        raise MachineError("depth must be ≥ 1")
     words = words_up_to(x, depth)
     if len(x) ** len(words) > ENUMERATION_GUARD:
         raise EnumerationTooLarge(
@@ -77,15 +78,14 @@ def pinfty_carrier_check(x: Alphabet, depth: int) -> int:
 def embed_j(m: MooreMachine) -> MealyMachine:
     """D₀: view a Moore machine as a Mealy machine whose output ignores
     the current letter."""
-    out = {(e, a): m.out[e] for e in m.states for a in m.input.symbols}
-    return MealyMachine(m.input, m.output, m.states, dict(m.delta), out)
+    return MealyMachine(m.input, m.output, m.states, m.delta, _j_out(m))
 
 
 def apply_D1(m: MooreMachine) -> MealyMachine:
     """D₁: same states and dynamics, but the output anticipates one step,
     out'(e, a) = out(delta(e, a))."""
     out = {(e, a): m.out[m.delta[(e, a)]] for e in m.states for a in m.input.symbols}
-    return MealyMachine(m.input, m.output, m.states, dict(m.delta), out)
+    return MealyMachine(m.input, m.output, m.states, m.delta, out)
 
 
 def d_iter(m: Machine, e: State, word: Iterable[Letter]) -> State:
@@ -131,7 +131,7 @@ def is_n_soft(m: MooreMachine, n: int) -> bool:
     states emit different outputs, is 2-soft but neither 1- nor 3-soft.
     """
     if n < 1:
-        raise ValueError("n must be ≥ 1")
+        raise MachineError("n must be ≥ 1")
     for e in m.states:
         want = m.out[e]
         layer = {e}
@@ -166,7 +166,7 @@ def softness_level(m: MooreMachine, bound: int) -> SoftnessReport:
     between (see ``is_n_soft``).
     """
     if bound < 1:
-        raise ValueError("bound must be ≥ 1")
+        raise MachineError("bound must be ≥ 1")
     for n in range(1, bound + 1):
         if is_n_soft(m, n):
             return SoftnessReport(m, n, bound)

@@ -75,3 +75,45 @@ def letter_independent(mealy):
         if len(row) > 1:
             return False
     return True
+
+
+def cascade(second, first):
+    """The composite second⋄first from the four per-kind formulas,
+    written against the raw tables and never through mealymoore.compose.
+
+    Returns (kind, states, delta, out), kind being MealyMachine only when
+    both factors are Mealy; states are the pairs (f, e) in table order.
+    """
+    states = tuple((f, e) for f in second.states for e in first.states)
+    letters = first.input.symbols
+    second_mealy = isinstance(second, MealyMachine)
+    first_mealy = isinstance(first, MealyMachine)
+    delta, out = {}, {}
+    if second_mealy and first_mealy:
+        for f, e in states:
+            for a in letters:
+                b = first.out[(e, a)]
+                delta[((f, e), a)] = (second.delta[(f, b)], first.delta[(e, a)])
+                out[((f, e), a)] = second.out[(f, b)]
+        return MealyMachine, states, delta, out
+    if not second_mealy and not first_mealy:
+        for f, e in states:
+            for a in letters:
+                delta[((f, e), a)] = (second.delta[(f, first.out[e])], first.delta[(e, a)])
+            out[(f, e)] = second.out[f]
+    elif first_mealy:
+        for f, e in states:
+            for a in letters:
+                delta[((f, e), a)] = (second.delta[(f, first.out[(e, a)])], first.delta[(e, a)])
+            out[(f, e)] = second.out[f]
+    else:
+        for f, e in states:
+            for a in letters:
+                delta[((f, e), a)] = (second.delta[(f, first.out[e])], first.delta[(e, a)])
+            out[(f, e)] = second.out[(f, first.out[e])]
+    return MooreMachine, states, delta, out
+
+
+def tables(m):
+    """(kind, states, delta, out) of a machine, comparable with cascade()."""
+    return type(m), m.states, m.delta, m.out

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from mealymoore import (
+    Alphabet,
+    MooreMachine,
     load_machine,
     moorify,
     save_machine,
@@ -105,6 +107,22 @@ class TestCompose:
         assert main(["compose", files["cpar"], files["par"]]) == 0
         assert json.loads(capsys.readouterr().out)["kind"] == "moore"
 
+    def test_output_name_collision_refused(self, tmp_path, capsys):
+        # Composite states ("a", "b,c") and ("a,b", "c") would both be
+        # written as ⟨a,b,c⟩, and the file could not be loaded back.
+        one = Alphabet("one", ("x",))
+        paths = []
+        for name, states in [("second", ("a", "a,b")), ("first", ("b,c", "c"))]:
+            m = MooreMachine(one, one, states, {(e, "x"): e for e in states},
+                             {e: "x" for e in states})
+            paths.append(str(tmp_path / ("%s.machine" % name)))
+            save_machine(m, paths[-1])
+        out = tmp_path / "cc.machine"
+        assert main(["compose", paths[0], paths[1], "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'a,b'" in err and "'b,c'" in err
+        assert not out.exists()
+
     def test_endpoint_mismatch(self, files, tmp_path, capsys):
         three = tmp_path / "three.machine"
         three.write_text(json.dumps({
@@ -185,6 +203,22 @@ class TestCheck:
     def test_pentagon_random(self, files, capsys):
         assert main(["check", "pentagon", "--samples", "20", "--seed", "1"]) == 0
         assert "20 random quadruples (seed 1)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "n-soft", "0", "p2"],
+    ["check", "extension-square", "0", "cpar"],
+    ["check", "pentagon", "--samples", "-3"],
+    ["check", "pentagon", "--samples", "0"],
+    ["search-identity", "--alphabet", "0,1", "--max-states", "0"],
+], ids=["n-soft-0", "extension-square-0", "pentagon-samples-neg", "pentagon-samples-0",
+        "search-identity-max-states-0"])
+def test_bound_covering_nothing_is_bad_input(files, capsys, argv):
+    argv = [files.get(arg, arg) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 class TestHoms:

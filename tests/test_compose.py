@@ -1,11 +1,14 @@
+import itertools
 import random
 
 import pytest
 
+import mealymoore
 from mealymoore import (
     Alphabet,
     EndpointMismatch,
     KindMismatch,
+    MealyMachine,
     MooreMachine,
     PointedMachine,
     associator,
@@ -26,7 +29,7 @@ from mealymoore import (
 )
 from mealymoore.generate import random_cell, random_mealy, random_moore
 
-from oracles import fold_trace, letter_independent
+from oracles import cascade, fold_trace, letter_independent, tables
 
 
 class TestComposeMealy:
@@ -171,14 +174,41 @@ class TestJCompatibilities:
             check_j_compatibilities(par, par)
 
     def test_random_sweep(self):
+        # check_j_compatibilities holds by construction of compose_cells,
+        # so the composite tables are also compared with the oracle, for
+        # all four kind pairs.
         rng = random.Random(3)
         a = Alphabet("A", ("0", "1"))
+        kinds = set()
         for _ in range(50):
             m = random_cell(rng, a, a, 3)
             n = random_cell(rng, a, a, 3)
-            if m.__class__.__name__ == n.__class__.__name__ == "MealyMachine":
+            kinds.add((type(m), type(n)))
+            assert tables(compose_cells(m, n)) == cascade(m, n)
+            if isinstance(m, MealyMachine) and isinstance(n, MealyMachine):
                 continue
             assert check_j_compatibilities(m, n)
+        assert len(kinds) == 4
+
+
+_ENTRY_KINDS = {
+    "compose_mealy": ("mealy", "mealy"),
+    "compose_moore": ("moore", "moore"),
+    "ltimes": ("moore", "mealy"),
+    "rtimes": ("mealy", "moore"),
+}
+
+
+@pytest.mark.parametrize("entry, second_kind, first_kind", [
+    (entry, second_kind, first_kind)
+    for entry, kinds in _ENTRY_KINDS.items()
+    for second_kind, first_kind in itertools.product(("mealy", "moore"), repeat=2)
+    if (second_kind, first_kind) != kinds
+])
+def test_entry_point_rejects_wrong_kinds(entry, second_kind, first_kind, par, cpar):
+    cell = {"mealy": par, "moore": cpar}
+    with pytest.raises(KindMismatch):
+        getattr(mealymoore, entry)(cell[second_kind], cell[first_kind])
 
 
 def test_compose_cells_dispatch(par, cpar, u2):

@@ -8,12 +8,15 @@ from mealymoore import (
     MachineError,
     MealyMachine,
     MissingEntry,
+    MooreMachine,
+    PointedMachine,
     StateMap,
     UnknownSymbol,
     compose_maps,
     identity_cell,
     identity_map,
     is_homomorphism,
+    run,
     validate_mealy,
     validate_moore,
 )
@@ -104,6 +107,27 @@ class TestValidateMoore:
         }
         m = validate_moore(raw)
         assert m.out["s"] == "0"
+
+
+class TestTablesAreCopied:
+    """A machine keeps its own tables: mutating the dicts it was built
+    from cannot break it after validation."""
+
+    def test_mealy(self, par):
+        delta, out = dict(par.delta), dict(par.out)
+        m = MealyMachine(BITS, BITS, par.states, delta, out)
+        delta[("q0", "0")] = "zzz"
+        del out[("q1", "1")]
+        assert m == par
+        assert run(PointedMachine(m, "q0"), ("0", "1", "1")) == "0"
+
+    def test_moore(self, cpar):
+        delta, out = dict(cpar.delta), dict(cpar.out)
+        m = MooreMachine(BITS, BITS, cpar.states, delta, out)
+        delta[("q0", "0")] = "zzz"
+        out["q1"] = "zzz"
+        assert m == cpar
+        assert run(PointedMachine(m, "q0"), ("0", "1")) == "1"
 
 
 class TestIdentityCell:

@@ -4,13 +4,17 @@ import random
 import pytest
 
 from mealymoore import (
+    Alphabet,
+    DuplicateName,
     MachineFileSyntaxError,
+    MooreMachine,
     MissingEntry,
     UnknownSymbol,
     VersionMismatch,
     compose_mealy,
     load_machine,
     machine_from_raw,
+    machine_to_raw,
     parse_machine_text,
     render_state,
     save_machine,
@@ -48,6 +52,16 @@ class TestRoundtrip:
         reloaded = machine_from_raw(parse_machine_text(serialize_machine(cc)))
         assert reloaded.states == tuple(render_state(s) for s in cc.states)
         assert reloaded.out[("⟨q0,q1⟩", "1")] == cc.out[(("q0", "q1"), "1")]
+
+
+    def test_colliding_composite_names_refused(self):
+        # ("a", "b,c") and ("a,b", "c") both render as ⟨a,b,c⟩.
+        one = Alphabet("one", ("x",))
+        states = (("a", "b,c"), ("a,b", "c"))
+        m = MooreMachine(one, one, states, {(e, "x"): e for e in states}, {e: "x" for e in states})
+        with pytest.raises(DuplicateName) as err:
+            machine_to_raw(m)
+        assert repr(states[0]) in str(err.value) and repr(states[1]) in str(err.value)
 
 
 class TestRenderState:
