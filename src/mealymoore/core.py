@@ -99,9 +99,12 @@ def _check_table(what, table, expected, allowed, bad_value):
         if extra:
             raise UnknownSymbol("%s entry for undeclared %r" % (what, next(iter(extra))))
         raise MissingEntry("%s lacks entry for %r" % (what, next(iter(expected - table.keys()))))
-    for value in table.values():
-        if value not in allowed:
-            raise UnknownSymbol(bad_value % (value,))
+    try:
+        for value in table.values():
+            if value not in allowed:
+                raise UnknownSymbol(bad_value % (value,))
+    except TypeError:  # an unhashable value, such as a JSON list in a machine file
+        raise UnknownSymbol(bad_value % (value,)) from None
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,10 @@ class _Machine:
 
     def __post_init__(self):
         states = tuple(self.states)
-        stateset = set(states)
+        try:
+            stateset = set(states)
+        except TypeError as err:  # such as a JSON list in a machine file
+            raise UnknownSymbol("state names must be hashable (%s)" % err) from None
         if not states:
             raise MachineError("a machine needs at least one state")
         if len(stateset) != len(states):

@@ -51,6 +51,8 @@ def parse_machine_text(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise MachineFileSyntaxError("line %d: %s" % (err.lineno, err.msg)) from err
+    except RecursionError as err:
+        raise MachineFileSyntaxError("JSON nested too deeply") from err
     if not isinstance(doc, dict):
         raise MachineFileSyntaxError("a machine file holds a single JSON object")
     if doc.get("version") != FORMAT_VERSION:
@@ -71,7 +73,11 @@ def machine_from_raw(doc: dict) -> Machine:
 
 def load_machine(path) -> Machine:
     with open(path, encoding="utf-8") as handle:
-        return machine_from_raw(parse_machine_text(handle.read()))
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as err:
+            raise MachineFileSyntaxError("not UTF-8 text: %s" % err) from err
+    return machine_from_raw(parse_machine_text(text))
 
 
 def render_state(s: Union[str, tuple]) -> str:

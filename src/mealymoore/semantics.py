@@ -97,34 +97,48 @@ def _observation(machine, e):
     return machine.out[e]
 
 
+def _renumber(signatures):
+    """Number the distinct signatures 0, 1, … in order of first appearance;
+    returns the numbers and how many there are."""
+    ids = {}
+    return [ids.setdefault(s, len(ids)) for s in signatures], len(ids)
+
+
 def bisimilar(p: PointedMachine, q: PointedMachine) -> bool:
     """Exact behavioral equivalence of two pointed machines of the same
-    kind, by partition refinement on the disjoint union of their states."""
+    kind, by Moore's partition refinement on the disjoint union of their
+    states.
+
+    Blocks are small integers.  The first partition groups states by
+    observation (output, or output row for Mealy machines); each round
+    renumbers the signatures (block, block of each successor) and the
+    refinement stops when the block count stops growing.  With
+    N = |Q₁|+|Q₂| there are at most N rounds of O(N·|A|) work each.
+    """
     m, n = p.machine, q.machine
     if type(m) is not type(n):
         raise KindMismatch("bisimilarity compares machines of the same kind")
     if m.input.symbols != n.input.symbols or m.output.symbols != n.output.symbols:
         raise EndpointMismatch("bisimilarity requires common alphabets")
 
-    # Disjoint union, tagging each state with its side.
-    nodes = [(0, e) for e in m.states] + [(1, e) for e in n.states]
-
-    def step(node, a):
-        side, e = node
-        return (side, (m if side == 0 else n).delta[(e, a)])
-
-    block = {node: _observation(m if node[0] == 0 else n, node[1]) for node in nodes}
+    # Number the nodes of the disjoint union once, m's states first.
+    nodes = [(side, machine, e) for side, machine in ((0, m), (1, n)) for e in machine.states]
+    number = {(side, e): i for i, (side, _, e) in enumerate(nodes)}
     letters = m.input.symbols
+    successors = [
+        tuple(number[(side, machine.delta[(e, a)])] for a in letters)
+        for side, machine, e in nodes
+    ]
+    block, count = _renumber(_observation(machine, e) for _, machine, e in nodes)
     while True:
-        refined = {
-            node: (block[node],) + tuple(block[step(node, a)] for a in letters)
-            for node in nodes
-        }
-        if len(set(refined.values())) == len(set(block.values())):
-            block = refined
+        refined, refined_count = _renumber(
+            (block[i],) + tuple(map(block.__getitem__, succ))
+            for i, succ in enumerate(successors)
+        )
+        if refined_count == count:
             break
-        block = refined
-    return block[(0, p.start)] == block[(1, q.start)]
+        block, count = refined, refined_count
+    return block[number[(0, p.start)]] == block[number[(1, q.start)]]
 
 
 def check_extension_square(m: MooreMachine, maxlen: int) -> bool:
@@ -132,29 +146,22 @@ def check_extension_square(m: MooreMachine, maxlen: int) -> bool:
     length ≤ maxlen agrees with evaluating its one-step conversion
     ``apply_D1(m)`` as a Mealy machine on the same word, from every state.
 
-    Word prefixes are shared across the comparison, so the check is
-    linear in the word tree rather than quadratic.
+    At a word ending in letter a, the two runs compare out(δ(e, a)) with
+    the D₁ output at (e, a), where e is the state reached before a.  Every
+    state is a start, so every pair (e, a) occurs at length 1 and longer
+    words repeat pairs already compared: the verdict is one pass over the
+    table and does not depend on maxlen ≥ 1.  Given ``apply_D1``, which
+    defines its output as out(δ(e, a)), the square holds by construction;
+    the test suite checks it against a word-exhaustion oracle.
     """
     from .universal import apply_D1
 
     if maxlen < 1:
         raise MachineError("maxlen must be ≥ 1")
     d1 = apply_D1(m)
-    letters = m.input.symbols
-    for start in m.states:
-        # Both machines share the state set and dynamics; walk the word
-        # tree once, comparing the two run values at every node.
-        stack = [(start, 0)]
-        while stack:
-            e, depth = stack.pop()
-            if depth == maxlen:
-                continue
-            for a in letters:
-                nxt = m.delta[(e, a)]
-                if m.out[nxt] != d1.out[(e, a)]:
-                    return False
-                stack.append((nxt, depth + 1))
-    return True
+    return all(
+        m.out[m.delta[(e, a)]] == d1.out[(e, a)] for e in m.states for a in m.input.symbols
+    )
 
 
 def words_up_to(alphabet, maxlen: int, include_empty: bool = True):

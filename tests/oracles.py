@@ -54,6 +54,29 @@ def words_agree(p_machine, p_start, q_machine, q_start, maxlen):
     return True
 
 
+def bisimilar_words(p_machine, p_start, q_machine, q_start):
+    """Exact bisimilarity by word exhaustion: two states of a disjoint
+    union with N states that agree on every word of length ≤ N agree on
+    every word, since each round of refinement that still splits a block
+    needs one more letter and there are fewer than N such rounds."""
+    bound = len(p_machine.states) + len(q_machine.states)
+    return words_agree(p_machine, p_start, q_machine, q_start, bound)
+
+
+def extension_square_words(m, maxlen):
+    """Word exhaustion for the extension square of a Moore machine: from
+    every state, does its run on every nonempty word of length ≤ maxlen
+    equal the run of the one-step Mealy conversion, whose table
+    out'(e, a) = out(delta(e, a)) is written here from the raw tables?"""
+    d1_out = {(e, a): m.out[m.delta[(e, a)]] for e in m.states for a in m.input.symbols}
+    d1 = MealyMachine(m.input, m.output, m.states, m.delta, d1_out)
+    return all(
+        fold_run(m, e, w) == fold_run(d1, e, w)
+        for e in m.states
+        for w in words_up_to(m.input, maxlen, include_empty=False)
+    )
+
+
 def table_hom(source, target, mapping):
     """Pairwise homomorphism check written against the raw tables."""
     mealy = isinstance(source, MealyMachine)

@@ -1,6 +1,9 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mealymoore import (
     Alphabet,
@@ -68,6 +71,90 @@ class TestValidate:
         bad = files["dir"] / "bad.machine"
         bad.write_text("{not json")
         assert main(["validate", str(bad)]) == 2
+
+
+DEMO_MACHINES = Path(__file__).resolve().parent.parent / "demos" / "machines"
+
+
+def _cpar_doc():
+    return json.loads((DEMO_MACHINES / "cpar.machine").read_text(encoding="utf-8"))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _with(doc, path, value):
+    _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+BAD_FILES = {
+    "list-delta-target": json.dumps(_with(_cpar_doc(), ("delta", "q0", "0"), ["q0"])).encode(),
+    "list-state-name": json.dumps(_with(_cpar_doc(), ("states", 0), ["q0"])).encode(),
+    "not-utf8": b'{"version": 1, "kind": "moore\xff"}',
+    "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FILES))
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_bad_file_is_bad_input(tmp_path, capsys, command, name):
+    path = tmp_path / "bad.machine"
+    path.write_bytes(BAD_FILES[name])
+    argv = [command, str(path)] + (["--start", "q0", "--word", "1"] if command == "run" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def _nodes(node, path=()):
+    """Every path into a JSON document, the root included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_machine_texts(draw):
+    """A demo machine document with one to three of: a value replaced by
+    a list, an int or an object, a key or element dropped, the text cut."""
+    path = draw(st.sampled_from(sorted(DEMO_MACHINES.glob("*.machine"))))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    states = list(doc["states"])
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(list(_nodes(doc))))
+        how = draw(st.sampled_from(["list", "int", "object"] + (["drop"] if target else [])))
+        old = _at(doc, target)
+        new = {"list": [old], "int": draw(st.integers(-2, 2)), "object": {"x": old}}.get(how)
+        if not target:
+            doc = new
+        elif how == "drop":
+            del _at(doc, target[:-1])[target[-1]]
+        else:
+            _with(doc, target, new)
+    text = json.dumps(doc)
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    start = draw(st.sampled_from(states + ["q0"]))
+    return text, start, draw(st.sampled_from(["", "1", "01", "101"]))
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_machine_texts())
+def test_mutated_files_never_crash(case):
+    # The exit-code contract: 0 or 1 for a verdict, 2 for bad input, and
+    # never an escaping exception.
+    text, start, word = case
+    with tempfile.TemporaryDirectory() as scratch:
+        path = str(Path(scratch) / "fuzz.machine")
+        Path(path).write_text(text, encoding="utf-8")
+        assert main(["validate", path]) in (0, 1, 2)
+        assert main(["run", path, "--start", start, "--word", word]) in (0, 1, 2)
 
 
 class TestRun:
@@ -184,6 +271,9 @@ class TestCheck:
 
     def test_extension_square(self, files, capsys):
         assert main(["check", "extension-square", "5", files["cpar"]]) == 0
+
+    def test_extension_square_long_words(self, files, capsys):
+        assert main(["check", "extension-square", "1000000", files["cpar"]]) == 0
 
     def test_counit(self, files, capsys):
         assert main(["check", "counit", files["par"]]) == 0

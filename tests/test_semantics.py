@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mealymoore import (
     Alphabet,
@@ -14,14 +15,41 @@ from mealymoore import (
     apply_D1,
     bisimilar,
     check_extension_square,
+    compose_cells,
     compose_mealy,
     identity_cell,
     run,
     trace,
+    universal_p,
+    universal_u,
     words_up_to,
 )
 
-from oracles import fold_run, fold_trace, words_agree
+from conftest import BITS, make_cpar, make_par
+from oracles import bisimilar_words, extension_square_words, fold_run, fold_trace, words_agree
+from test_properties import alphabets, mealys, moores
+
+
+def fixtures_and_composites():
+    """par, cpar, u2, p2 and their sixteen two-fold composites."""
+    fixtures = [make_par(), make_cpar(), universal_u(BITS), universal_p(BITS)]
+    return fixtures + [compose_cells(g, f) for g in fixtures for f in fixtures]
+
+
+def family_machine(shape, n, mark, names):
+    """A reset chain (letter 1 advances to the last position and stays,
+    letter 0 resets) or a counter (1 advances mod n, 0 stays) over {0, 1},
+    whose output is 1 at position ``mark`` only."""
+    delta = {}
+    for i, e in enumerate(names):
+        if shape == "chain":
+            delta[(e, "1")] = names[min(i + 1, n - 1)]
+            delta[(e, "0")] = names[0]
+        else:
+            delta[(e, "1")] = names[(i + 1) % n]
+            delta[(e, "0")] = e
+    out = {e: "1" if i == mark else "0" for i, e in enumerate(names)}
+    return MooreMachine(BITS, BITS, tuple(names), delta, out)
 
 
 class TestRun:
@@ -126,6 +154,43 @@ class TestBisimilar:
                 PointedMachine(m1, s1), PointedMachine(m2, s2)
             ) == words_agree(m1, s1, m2, s2, 6)
 
+    def test_matches_word_oracle_on_fixtures(self):
+        # Every unordered pointed pair of one kind; the oracle's bound
+        # |Q1|+|Q2| makes it exact.
+        points = [(m, e) for m in fixtures_and_composites() for e in m.states]
+        checked = bisimilar_pairs = 0
+        for i, (m1, s1) in enumerate(points):
+            for m2, s2 in points[i:]:
+                if type(m1) is not type(m2):
+                    continue
+                verdict = bisimilar(PointedMachine(m1, s1), PointedMachine(m2, s2))
+                assert verdict == bisimilar_words(m1, s1, m2, s2)
+                checked += 1
+                bisimilar_pairs += verdict
+        assert checked > 2000 and 0 < bisimilar_pairs < checked
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_matches_word_oracle_on_random_pairs(self, data):
+        inp, outp = data.draw(alphabets(2)), data.draw(alphabets(2))
+        kind = data.draw(st.sampled_from((mealys, moores)))
+        m1 = data.draw(kind(inp=inp, outp=outp, max_states=4))
+        m2 = data.draw(kind(inp=inp, outp=outp, max_states=4))
+        s1, s2 = data.draw(st.sampled_from(m1.states)), data.draw(st.sampled_from(m2.states))
+        assert bisimilar(PointedMachine(m1, s1), PointedMachine(m2, s2)) == bisimilar_words(
+            m1, s1, m2, s2)
+
+    @pytest.mark.parametrize("shape,n", [("chain", 200), ("counter", 201)])
+    def test_long_families(self, shape, n):
+        # Positions 1 and 2 first differ after about n letters, so the
+        # refinement runs about n rounds.
+        mark = n - 1 if shape == "chain" else 0
+        m = family_machine(shape, n, mark, ["l%d" % i for i in range(n)])
+        k = family_machine(shape, n, mark, ["r%d" % i for i in range(n)])
+        k = MooreMachine(k.input, k.output, k.states[::-1], k.delta, k.out)
+        assert bisimilar(PointedMachine(m, "l1"), PointedMachine(k, "r1"))
+        assert not bisimilar(PointedMachine(m, "l1"), PointedMachine(k, "r2"))
+
 
 class TestExtensionSquare:
     def test_cpar(self, cpar):
@@ -147,3 +212,16 @@ class TestExtensionSquare:
                 for w in words_up_to(m.input, 4, include_empty=False):
                     assert run(PointedMachine(m, e), w) == run(PointedMachine(d1, e), w)
             assert check_extension_square(m, 4)
+
+    def test_matches_word_oracle(self):
+        for m in fixtures_and_composites():
+            if isinstance(m, MooreMachine):
+                for maxlen in (1, 2, 4):
+                    assert check_extension_square(m, maxlen) == extension_square_words(m, maxlen)
+
+    def test_long_words(self):
+        # The verdict does not depend on maxlen, so a bound far beyond
+        # word exhaustion answers at once.
+        chain = family_machine("chain", 3, 2, ["s0", "s1", "s2"])
+        assert check_extension_square(chain, 64)
+        assert check_extension_square(chain, 10**6)
