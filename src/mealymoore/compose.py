@@ -55,10 +55,10 @@ def compose_cells(second: Machine, first: Machine) -> Machine:
     }
     if isinstance(second, MealyMachine) and isinstance(first, MealyMachine):
         out = {((f, e), a): read[(f, emit[(e, a)])] for f, e in states for a in letters}
-        return MealyMachine(first.input, second.output, states, delta, out)
+        return MealyMachine._trusted(first.input, second.output, states, delta, out)
     a = letters[0]  # the output ignores the letter, so read it at any one
     out = {(f, e): read[(f, emit[(e, a)])] for f, e in states}
-    return MooreMachine(first.input, second.output, states, delta, out)
+    return MooreMachine._trusted(first.input, second.output, states, delta, out)
 
 
 def _require_kinds(name, second, first, second_kind, first_kind):
@@ -130,15 +130,17 @@ def associator(h: Machine, g: Machine, f: Machine) -> StateBijection:
     fwd = {((eh, eg), ef): (eh, (eg, ef)) for eh in h.states for eg in g.states for ef in f.states}
     bwd = {v: k for k, v in fwd.items()}
     return StateBijection(
-        left, right, StateMap(left, right, fwd), StateMap(right, left, bwd)
+        left, right, StateMap._trusted(left, right, fwd), StateMap._trusted(right, left, bwd)
     )
 
 
 def check_pentagon(k: Machine, h: Machine, g: Machine, f: Machine) -> bool:
     """Compare the two re-bracketing paths k⋄(h⋄(g⋄f)) → ((k⋄h)⋄g)⋄f
     as functions on the 4-fold product carrier."""
-    # All compositions below only exist if the chain of endpoints matches.
-    compose_cells(compose_cells(compose_cells(k, h), g), f)
+    # The composites the paths re-bracket exist only if the endpoints chain.
+    _require_chain(k, h)
+    _require_chain(h, g)
+    _require_chain(g, f)
 
     def beta(s):  # x⋄(y⋄z) → (x⋄y)⋄z
         x, (y, z) = s

@@ -11,6 +11,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -51,7 +52,7 @@ class LetterOutOfAlphabet(MachineError):
 
 
 class EnumerationTooLarge(MachineError):
-    """An exhaustive enumeration would exceed the hard candidate guard."""
+    """An exhaustive enumeration went, or would go, past ENUMERATION_GUARD."""
 
 
 class NotSoft(MachineError):
@@ -88,12 +89,15 @@ class Alphabet:
         return len(self.symbols)
 
 
-ENUMERATION_GUARD = 10**7  # most candidates an exhaustive enumeration may visit
+# Most machines an enumeration may build, or search nodes a hom-set
+# search may visit: past it the enumeration raises, never truncates.
+ENUMERATION_GUARD = 10**7
 
 
 def _check_table(what, table, expected, allowed, bad_value):
     """A table must have exactly the expected keys, and every value must
-    lie in ``allowed``."""
+    lie in ``allowed``.  A bad value is rendered by ``reprlib``, so a
+    huge or deeply nested one still gives a short message."""
     if table.keys() != expected:
         extra = table.keys() - expected
         if extra:
@@ -102,9 +106,9 @@ def _check_table(what, table, expected, allowed, bad_value):
     try:
         for value in table.values():
             if value not in allowed:
-                raise UnknownSymbol(bad_value % (value,))
+                raise UnknownSymbol(bad_value % reprlib.repr(value))
     except TypeError:  # an unhashable value, such as a JSON list in a machine file
-        raise UnknownSymbol(bad_value % (value,)) from None
+        raise UnknownSymbol(bad_value % reprlib.repr(value)) from None
 
 
 @dataclass(frozen=True)
@@ -130,12 +134,22 @@ class _Machine:
             raise DuplicateName("repeated state names")
         delta, out = dict(self.delta), dict(self.out)
         cells = {(e, a) for e in states for a in self.input.symbols}
-        _check_table("delta", delta, cells, stateset, "delta target %r is not a declared state")
+        _check_table("delta", delta, cells, stateset, "delta target %s is not a declared state")
         _check_table("out", out, cells if self._out_by_letter else stateset,
-                     self.output.symbols, "output letter %r is not in the output alphabet")
+                     self.output.symbols, "output letter %s is not in the output alphabet")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "out", out)
+
+    @classmethod
+    def _trusted(cls, input, output, states, delta, out):
+        """A machine from tables the library built total and well-typed
+        itself: no check, no copy.  The machine shares the given tables,
+        so they must not be changed afterwards; ``states`` must be a
+        tuple."""
+        m = object.__new__(cls)
+        m.__dict__.update(input=input, output=output, states=states, delta=delta, out=out)
+        return m
 
     __hash__ = None
 
@@ -244,11 +258,21 @@ class StateMap:
             if image not in targets:
                 raise UnknownSymbol("map image %r is not a target state" % (image,))
 
+    @classmethod
+    def _trusted(cls, source, target, map):
+        """A state map the library built total between machines of one
+        kind with common endpoints: no check, no copy.  It shares
+        ``map``, which must not be changed afterwards."""
+        phi = object.__new__(cls)
+        phi.__dict__.update(source=source, target=target, map=map)
+        return phi
+
     __hash__ = None
 
 
-def _is_hom_tables(source, target, mapping) -> bool:
-    """Homomorphism check on bare tables; assumes endpoints already agree."""
+def is_homomorphism(phi: StateMap) -> bool:
+    """True iff phi commutes with the dynamics and preserves outputs."""
+    source, target, mapping = phi.source, phi.target, phi.map
     mealy = isinstance(source, MealyMachine)
     for e in source.states:
         fe = mapping[e]
@@ -260,11 +284,6 @@ def _is_hom_tables(source, target, mapping) -> bool:
             if mealy and target.out[(fe, a)] != source.out[(e, a)]:
                 return False
     return True
-
-
-def is_homomorphism(phi: StateMap) -> bool:
-    """True iff phi commutes with the dynamics and preserves outputs."""
-    return _is_hom_tables(phi.source, phi.target, phi.map)
 
 
 def identity_map(m: Machine) -> StateMap:

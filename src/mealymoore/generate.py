@@ -2,6 +2,9 @@
 
 Enumeration order is lexicographic over the table entries with states
 and letters in declaration order, so sweeps and reports are diffable.
+The tables built here are total by construction, so the machines skip
+the table check, and machines from one enumeration share their delta
+tables: like every machine, they must not be changed.
 """
 
 from __future__ import annotations
@@ -10,10 +13,19 @@ import itertools
 import random
 from typing import Iterator
 
-from .core import ENUMERATION_GUARD, Alphabet, EnumerationTooLarge, MealyMachine, MooreMachine
+from .core import (
+    ENUMERATION_GUARD,
+    Alphabet,
+    EnumerationTooLarge,
+    MachineError,
+    MealyMachine,
+    MooreMachine,
+)
 
 
 def _state_names(n):
+    if n < 1:
+        raise MachineError("a machine needs at least one state")
     return tuple("s%d" % i for i in range(n))
 
 
@@ -34,7 +46,7 @@ def all_mealy(inp: Alphabet, outp: Alphabet, n_states: int) -> Iterator[MealyMac
     for targets in itertools.product(states, repeat=len(keys)):
         delta = dict(zip(keys, targets))
         for letters in itertools.product(outp.symbols, repeat=len(keys)):
-            yield MealyMachine(inp, outp, states, delta, dict(zip(keys, letters)))
+            yield MealyMachine._trusted(inp, outp, states, delta, dict(zip(keys, letters)))
 
 
 def all_moore(inp: Alphabet, outp: Alphabet, n_states: int) -> Iterator[MooreMachine]:
@@ -44,7 +56,7 @@ def all_moore(inp: Alphabet, outp: Alphabet, n_states: int) -> Iterator[MooreMac
     for targets in itertools.product(states, repeat=len(keys)):
         delta = dict(zip(keys, targets))
         for letters in itertools.product(outp.symbols, repeat=n_states):
-            yield MooreMachine(inp, outp, states, delta, dict(zip(states, letters)))
+            yield MooreMachine._trusted(inp, outp, states, delta, dict(zip(states, letters)))
 
 
 def _all_up_to(count, enumerate_exactly, inp, outp, max_states):
@@ -67,14 +79,14 @@ def random_mealy(rng: random.Random, inp: Alphabet, outp: Alphabet, n_states: in
     states = _state_names(n_states)
     delta = {(e, a): rng.choice(states) for e in states for a in inp.symbols}
     out = {(e, a): rng.choice(outp.symbols) for e in states for a in inp.symbols}
-    return MealyMachine(inp, outp, states, delta, out)
+    return MealyMachine._trusted(inp, outp, states, delta, out)
 
 
 def random_moore(rng: random.Random, inp: Alphabet, outp: Alphabet, n_states: int) -> MooreMachine:
     states = _state_names(n_states)
     delta = {(e, a): rng.choice(states) for e in states for a in inp.symbols}
     out = {e: rng.choice(outp.symbols) for e in states}
-    return MooreMachine(inp, outp, states, delta, out)
+    return MooreMachine._trusted(inp, outp, states, delta, out)
 
 
 def random_cell(rng: random.Random, inp: Alphabet, outp: Alphabet, max_states: int):

@@ -1,16 +1,17 @@
-"""Brute-force homomorphism enumeration and desk-scale law checking.
+"""Hom-set search and desk-scale law checking.
 
-Every claim checked here is decided by complete enumeration: all total
-state maps between two machines are tested against the homomorphism
-predicate, and the adjunction / coreflection transposition formulas are
-verified as literal bijections between the resulting hom-sets.  A hard
-candidate-count guard keeps enumerations honest: either the sweep is
-complete or it raises, never silently truncated.
+Every claim checked here is decided by complete enumeration.  A hom-set
+is found by a propagating search: the dynamics are deterministic, so
+fixing the image of one state forces the images of all its successors,
+and a branch dies at the first clash of outputs or dynamics.  The
+adjunction / coreflection transposition formulas are verified as
+literal bijections between the resulting hom-sets.  A hard guard on the
+search nodes visited keeps enumerations honest: either the result is
+complete or the search raises, never silently truncated.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +29,6 @@ from .core import (
     NotAHomomorphism,
     NotSoft,
     StateMap,
-    _is_hom_tables,
     is_homomorphism,
 )
 from .generate import all_moore_up_to
@@ -52,21 +52,73 @@ class HomSet:
 
 
 def enumerate_homs(m1: Machine, m2: Machine) -> HomSet:
-    """Test every total state map m1 → m2 and keep the homomorphisms,
-    in lexicographic order of target-state indices."""
+    """Every homomorphism m1 → m2, in lexicographic order of the
+    target-state indices of the images of m1's states.
+
+    Depth-first search: the first source state without an image is sent
+    to each target state in declaration order, and each choice is
+    propagated along the dynamics, phi(delta1(e, a)) = delta2(phi(e), a),
+    until it clashes on an output or an image, or forces nothing more.
+    Each choice is one search node; more than ENUMERATION_GUARD nodes
+    raise EnumerationTooLarge.
+    """
     if type(m1) is not type(m2):
         raise KindMismatch("hom-sets relate machines of the same kind")
     if m1.input.symbols != m2.input.symbols or m1.output.symbols != m2.output.symbols:
         raise EndpointMismatch("hom-sets require common alphabets")
-    n_candidates = len(m2.states) ** len(m1.states)
-    if n_candidates > ENUMERATION_GUARD:
-        raise EnumerationTooLarge("%d candidate maps exceed the guard" % n_candidates)
+    letters = m1.input.symbols
+    sources, targets = m1.states, m2.states
+    d1, d2, o1, o2 = m1.delta, m2.delta, m1.out, m2.out
+    mealy = isinstance(m1, MealyMachine)
+    phi = {}  # the image of each source state found so far
+    trail = []  # source states in the order they got their image
+
+    def propagate(e, t):
+        phi[e] = t
+        trail.append(e)
+        todo = [e]
+        while todo:
+            x = todo.pop()
+            y = phi[x]
+            if not mealy and o1[x] != o2[y]:
+                return False
+            for a in letters:
+                if mealy and o1[(x, a)] != o2[(y, a)]:
+                    return False
+                x2, y2 = d1[(x, a)], d2[(y, a)]
+                if x2 not in phi:
+                    phi[x2] = y2
+                    trail.append(x2)
+                    todo.append(x2)
+                elif phi[x2] != y2:
+                    return False
+        return True
+
     homs = []
-    source_states = m1.states
-    for images in itertools.product(m2.states, repeat=len(source_states)):
-        mapping = dict(zip(source_states, images))
-        if _is_hom_tables(m1, m2, mapping):
-            homs.append(StateMap(m1, m2, mapping))
+    nodes = 0
+    n, width = len(sources), len(targets)
+    stack = [[0, 0, 0]]  # [source state to branch on, next choice, trail length before]
+    while stack:
+        frame = stack[-1]
+        i, k, mark = frame
+        while len(trail) > mark:
+            del phi[trail.pop()]
+        if k == width:
+            stack.pop()
+            continue
+        frame[1] = k + 1
+        nodes += 1
+        if nodes > ENUMERATION_GUARD:
+            raise EnumerationTooLarge("the hom-set search visited more than %d nodes"
+                                      % ENUMERATION_GUARD)
+        if not propagate(sources[i], targets[k]):
+            continue
+        while i < n and sources[i] in phi:
+            i += 1
+        if i < n:
+            stack.append([i, 0, len(trail)])
+        else:
+            homs.append(StateMap._trusted(m1, m2, {e: phi[e] for e in sources}))
     return HomSet(m1, m2, tuple(homs))
 
 
@@ -143,7 +195,7 @@ def check_counit(m: MealyMachine) -> bool:
     """True iff projecting the buffered output component,
     (b, e) ↦ e, is a Mealy homomorphism apply_D1(moorify(m)) → m."""
     src = apply_D1(moorify(m))
-    proj = StateMap(src, m, {s: s[1] for s in src.states})
+    proj = StateMap._trusted(src, m, {s: s[1] for s in src.states})
     return is_homomorphism(proj)
 
 
@@ -154,7 +206,7 @@ def check_moorify_functorial(phi: StateMap) -> bool:
         raise NotAHomomorphism("moorify is only functorial on homomorphisms")
     src = moorify(phi.source)
     tgt = moorify(phi.target)
-    lifted = StateMap(src, tgt, {(b, e): (b, phi.map[e]) for b, e in src.states})
+    lifted = StateMap._trusted(src, tgt, {(b, e): (b, phi.map[e]) for b, e in src.states})
     return is_homomorphism(lifted)
 
 

@@ -10,6 +10,7 @@ concrete conversion functors from Moore to Mealy machines.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -30,15 +31,20 @@ from .core import (
 )
 
 
+@functools.lru_cache(maxsize=256)
 def universal_u(x: Alphabet) -> MooreMachine:
     """The one-step delay register over x: the state becomes the last
-    input letter, and the output is the current state."""
+    input letter, and the output is the current state.
+
+    Built once per symbol tuple and then shared, since ``Alphabet``
+    equality and hash ignore the name."""
     states = x.symbols
     delta = {(e, a): a for e in states for a in states}
     out = {e: e for e in states}
     return MooreMachine(x, x, states, delta, out)
 
 
+@functools.lru_cache(maxsize=256)
 def universal_p(x: Alphabet) -> MooreMachine:
     """The frozen register over x: the dynamics fixes the state and the
     output is the state, so every trace is constant.
@@ -46,7 +52,8 @@ def universal_p(x: Alphabet) -> MooreMachine:
     The carrier is the symbol set itself, identifying each state with
     the function that answers it on the empty word and agrees with
     ``head`` everywhere else; ``pinfty_carrier_check`` validates that
-    identification by enumeration.
+    identification by enumeration.  Like ``universal_u``, it is built
+    once per symbol tuple and then shared.
     """
     states = x.symbols
     delta = {(e, a): e for e in states for a in states}
@@ -78,14 +85,14 @@ def pinfty_carrier_check(x: Alphabet, depth: int) -> int:
 def embed_j(m: MooreMachine) -> MealyMachine:
     """D₀: view a Moore machine as a Mealy machine whose output ignores
     the current letter."""
-    return MealyMachine(m.input, m.output, m.states, m.delta, _j_out(m))
+    return MealyMachine._trusted(m.input, m.output, m.states, m.delta, _j_out(m))
 
 
 def apply_D1(m: MooreMachine) -> MealyMachine:
     """D₁: same states and dynamics, but the output anticipates one step,
     out'(e, a) = out(delta(e, a))."""
     out = {(e, a): m.out[m.delta[(e, a)]] for e in m.states for a in m.input.symbols}
-    return MealyMachine(m.input, m.output, m.states, m.delta, out)
+    return MealyMachine._trusted(m.input, m.output, m.states, m.delta, out)
 
 
 def d_iter(m: Machine, e: State, word: Iterable[Letter]) -> State:

@@ -91,6 +91,18 @@ def table_hom(source, target, mapping):
     return True
 
 
+def homs(source, target):
+    """Every homomorphism source → target by brute force: all
+    |target|^|source| state maps in lexicographic order of the target
+    indices, each tested with ``table_hom``."""
+    found = []
+    for images in itertools.product(target.states, repeat=len(source.states)):
+        mapping = dict(zip(source.states, images))
+        if table_hom(source, target, mapping):
+            found.append(mapping)
+    return found
+
+
 def letter_independent(mealy):
     """Does a Mealy output table ignore the current letter?"""
     for e in mealy.states:

@@ -111,6 +111,30 @@ def test_bad_file_is_bad_input(tmp_path, capsys, command, name):
     assert captured.err.startswith("error:")
 
 
+def _with_delta_target(text):
+    """The cpar document with the JSON ``text`` as one delta target."""
+    doc = json.dumps(_with(_cpar_doc(), ("delta", "q0", "0"), "HOLE"))
+    return doc.replace('"HOLE"', text).encode()
+
+
+HUGE_TARGETS = {
+    "nested-500-deep": "[" * 500 + '"q0"' + "]" * 500,
+    "list-of-10000": json.dumps(["q0"] * 10_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_TARGETS))
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_huge_delta_target_gives_short_error(tmp_path, capsys, command, name):
+    path = tmp_path / "bad.machine"
+    path.write_bytes(_with_delta_target(HUGE_TARGETS[name]))
+    argv = [command, str(path)] + (["--start", "q0", "--word", "1"] if command == "run" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "delta target" in err
+    assert len(err) < 200
+
+
 def _nodes(node, path=()):
     """Every path into a JSON document, the root included."""
     yield path

@@ -153,6 +153,18 @@ class TestPentagon:
         with pytest.raises(EndpointMismatch):
             check_pentagon(identity_cell(three), par, par, par)
 
+    @pytest.mark.parametrize("broken", range(3))
+    def test_any_broken_link_raises(self, bits, par, broken):
+        # A cell reading bits and emitting {0, 1, 2} breaks only the link
+        # to the cell composed after it, which is the one listed before it.
+        three = Alphabet("three", ("0", "1", "2"))
+        to_three = MealyMachine(bits, three, ("s",), {("s", "0"): "s", ("s", "1"): "s"},
+                                {("s", "0"): "0", ("s", "1"): "2"})
+        cells = [par, par, par, par]
+        cells[broken + 1] = to_three
+        with pytest.raises(EndpointMismatch):
+            check_pentagon(*cells)
+
 
 class TestJCompatibilities:
     def test_moore_moore(self, u2):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mealymoore import (
@@ -12,13 +14,33 @@ from mealymoore import (
     PointedMachine,
     StateMap,
     UnknownSymbol,
+    apply_D1,
+    associator,
+    check_counit,
+    check_moorify_functorial,
+    compose_cells,
     compose_maps,
+    decapitate,
+    embed_j,
+    enumerate_homs,
     identity_cell,
     identity_map,
     is_homomorphism,
+    moorify,
     run,
+    universal_p,
+    universal_u,
     validate_mealy,
     validate_moore,
+)
+from mealymoore.generate import (
+    all_mealy,
+    all_mealy_up_to,
+    all_moore,
+    all_moore_up_to,
+    random_cell,
+    random_mealy,
+    random_moore,
 )
 
 from conftest import BITS, make_cpar, make_par
@@ -181,3 +203,70 @@ class TestIsHomomorphism:
     def test_map_totality_enforced(self, par):
         with pytest.raises(MissingEntry):
             StateMap(par, par, {"q0": "q0"})
+
+
+def rebuilt(m):
+    """The machine the public, checking constructor builds from m's fields."""
+    return type(m)(m.input, m.output, m.states, m.delta, m.out)
+
+
+def assert_as_if_checked(m):
+    assert type(m.states) is tuple and type(m.delta) is dict and type(m.out) is dict
+    assert m == rebuilt(m)
+
+
+class TestTrustedConstruction:
+    """Machines and maps the library builds without the check are the
+    ones the public constructors would build from the same fields."""
+
+    def test_library_built_machines(self):
+        rng = random.Random(5)
+        a = Alphabet("A", ("0", "1"))
+        for m in list(all_mealy_up_to(a, a, 1)) + list(all_moore_up_to(a, a, 2)):
+            assert_as_if_checked(m)
+        for _ in range(60):
+            moore = random_moore(rng, a, a, rng.randint(1, 3))
+            mealy = random_mealy(rng, a, a, rng.randint(1, 3))
+            cells = [moore, mealy, random_cell(rng, a, a, 3)]
+            built = cells + [embed_j(moore), apply_D1(moore), moorify(mealy), decapitate(mealy)]
+            built += [compose_cells(g, f) for g in cells for f in cells]
+            for m in built:
+                assert_as_if_checked(m)
+
+    def test_library_built_maps(self):
+        rng = random.Random(6)
+        a = Alphabet("A", ("0", "1"))
+        for _ in range(60):
+            h, g, f = (random_cell(rng, a, a, 2) for _ in range(3))
+            bij = associator(h, g, f)
+            phis = [bij.forward, bij.backward]
+            m1, m2 = random_mealy(rng, a, a, 2), random_mealy(rng, a, a, 2)
+            phis += enumerate_homs(m1, m2).homs
+            for phi in phis:
+                assert phi == StateMap(phi.source, phi.target, phi.map)
+            # The maps these checks build inside, built here publicly.
+            src = apply_D1(moorify(m1))
+            assert check_counit(m1)
+            assert is_homomorphism(StateMap(src, m1, {s: s[1] for s in src.states}))
+            for phi in enumerate_homs(m1, m2).homs:
+                lift = StateMap(moorify(m1), moorify(m2),
+                                {(b, e): (b, phi.map[e]) for b, e in moorify(m1).states})
+                assert check_moorify_functorial(phi)
+                assert is_homomorphism(lift)
+
+    @pytest.mark.parametrize("make", [
+        lambda a: next(all_mealy(a, a, 0)),
+        lambda a: next(all_moore(a, a, 0)),
+        lambda a: random_mealy(random.Random(0), a, a, 0),
+        lambda a: random_moore(random.Random(0), a, a, 0),
+    ])
+    def test_generators_refuse_zero_states(self, bits, make):
+        # The public constructor refused these; the generators must too.
+        with pytest.raises(MachineError):
+            make(bits)
+
+    def test_universal_cells_are_built_once(self, bits):
+        assert universal_u(bits) is universal_u(bits)
+        assert universal_p(bits) is universal_p(bits)
+        assert_as_if_checked(universal_u(bits))
+        assert_as_if_checked(universal_p(bits))

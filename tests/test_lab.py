@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mealymoore import (
     Alphabet,
@@ -22,9 +23,11 @@ from mealymoore import (
     is_homomorphism,
     search_moore_identity,
 )
-from mealymoore.generate import all_mealy_up_to, random_mealy
+from mealymoore import lab
+from mealymoore.generate import all_mealy_up_to, all_moore_up_to, random_mealy
 
-from oracles import table_hom
+from oracles import homs, table_hom
+from test_properties import alphabets, mealys, moores
 
 
 def one_state_moore(bits, letter="0"):
@@ -79,6 +82,64 @@ class TestEnumerateHoms:
         three = Alphabet("three", ("0", "1", "2"))
         with pytest.raises(EndpointMismatch):
             enumerate_homs(par, identity_cell(three))
+
+    @pytest.mark.parametrize("n_in,n_out", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_matches_brute_force_on_all_small_pairs(self, n_in, n_out):
+        # Every same-kind pair with at most two states: the same maps in
+        # the same order as trying all |m2|^|m1| maps.
+        inp = Alphabet("in", ("0", "1")[:n_in])
+        outp = Alphabet("out", ("x", "y")[:n_out])
+        for machines in (list(all_mealy_up_to(inp, outp, 2)), list(all_moore_up_to(inp, outp, 2))):
+            for m1 in machines:
+                for m2 in machines:
+                    assert enumerate_homs(m1, m2).maps() == homs(m1, m2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_on_random_pairs(self, data):
+        inp, outp = data.draw(alphabets(2)), data.draw(alphabets(2))
+        kind = data.draw(st.sampled_from((mealys, moores)))
+        m1 = data.draw(kind(inp=inp, outp=outp, max_states=4))
+        m2 = data.draw(kind(inp=inp, outp=outp, max_states=4))
+        assert enumerate_homs(m1, m2).maps() == homs(m1, m2)
+
+
+def self_loops(n):
+    """n states over one letter, each a fixed point with the same output:
+    every state map between two such machines is a homomorphism."""
+    one = Alphabet("one", ("a",))
+    states = tuple("s%d" % i for i in range(n))
+    return MooreMachine(one, one, states, {(e, "a"): e for e in states}, {e: "a" for e in states})
+
+
+class TestEnumerationGuard:
+    def test_unconstrained_pair_raises_past_the_guard(self, monkeypatch):
+        # 3 states into 3: 3 + 9 + 27 = 39 search nodes and 27 homs.
+        m = self_loops(3)
+        monkeypatch.setattr(lab, "ENUMERATION_GUARD", 39)
+        assert len(enumerate_homs(m, m).homs) == 27
+        monkeypatch.setattr(lab, "ENUMERATION_GUARD", 38)
+        with pytest.raises(EnumerationTooLarge):
+            enumerate_homs(m, m)
+
+    def test_larger_unconstrained_pair_never_truncates(self, monkeypatch):
+        monkeypatch.setattr(lab, "ENUMERATION_GUARD", 50)
+        with pytest.raises(EnumerationTooLarge):
+            enumerate_homs(self_loops(4), self_loops(4))
+
+    def test_twelve_state_chain(self):
+        # 12^12 candidate maps, far past the guard, but only 12 search
+        # nodes: the image of s0 forces every other image.
+        one = Alphabet("one", ("a",))
+        states = tuple("s%d" % i for i in range(12))
+        chain = MooreMachine(one, one, states,
+                             {(e, "a"): states[min(i + 1, 11)] for i, e in enumerate(states)},
+                             {e: "a" for e in states})
+        assert 12 ** 12 > lab.ENUMERATION_GUARD
+        found = enumerate_homs(chain, chain).maps()
+        assert found == [{e: states[min(i + j, 11)] for i, e in enumerate(states)}
+                         for j in range(12)]
+        assert all(table_hom(chain, chain, mapping) for mapping in found)
 
 
 class TestAdjunction:
