@@ -11,15 +11,13 @@ concrete conversion functors from Moore to Mealy machines.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .compose import ltimes
 from .core import (
-    ENUMERATION_GUARD,
     Alphabet,
-    EnumerationTooLarge,
     Letter,
     LetterOutOfAlphabet,
     Machine,
@@ -51,9 +49,9 @@ def universal_p(x: Alphabet) -> MooreMachine:
 
     The carrier is the symbol set itself, identifying each state with
     the function that answers it on the empty word and agrees with
-    ``head`` everywhere else; ``pinfty_carrier_check`` validates that
-    identification by enumeration.  Like ``universal_u``, it is built
-    once per symbol tuple and then shared.
+    ``head`` everywhere else; ``pinfty_carrier_check`` counts those
+    functions word by word.  Like ``universal_u``, it is built once per
+    symbol tuple and then shared.
     """
     states = x.symbols
     delta = {(e, a): e for e in states for a in states}
@@ -63,23 +61,19 @@ def universal_p(x: Alphabet) -> MooreMachine:
 
 def pinfty_carrier_check(x: Alphabet, depth: int) -> int:
     """Count the functions from words of length ≤ depth to x that agree
-    with ``head`` on every nonempty word.  The count must equal |x|: the
+    with ``head`` on every nonempty word.
+
+    The constraints are one per word and independent, so the count is the
+    product over the words of the letters each allows: all of x on the
+    empty word, only its head on a nonempty word.  The count is |x|: the
     only freedom is the value on the empty word."""
     from .semantics import words_up_to
 
     if depth < 1:
         raise MachineError("depth must be ≥ 1")
-    words = words_up_to(x, depth)
-    if len(x) ** len(words) > ENUMERATION_GUARD:
-        raise EnumerationTooLarge(
-            "%d^%d candidate functions exceed the guard" % (len(x), len(words))
-        )
-    count = 0
-    for values in itertools.product(x.symbols, repeat=len(words)):
-        f = dict(zip(words, values))
-        if all(f[w] == w[0] for w in words if w):
-            count += 1
-    return count
+    return math.prod(
+        sum(1 for a in x.symbols if not w or a == w[0]) for w in words_up_to(x, depth)
+    )
 
 
 def embed_j(m: MooreMachine) -> MealyMachine:

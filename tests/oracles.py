@@ -1,13 +1,15 @@
 """Independent oracles used to cross-check the library.
 
 Everything here recomputes results from first principles (explicit
-recursion, bounded word exhaustion, pairwise table checks) rather than
-calling the code paths under test.
+recursion, bounded word exhaustion, brute-force counts, pairwise table
+checks) rather than calling the code paths under test.  The one
+exception is ``pentagon_maps``, which composes the maps ``associator``
+returns, because those maps are what the pentagon is about.
 """
 
 import itertools
 
-from mealymoore import MealyMachine, MooreMachine
+from mealymoore import MealyMachine, MooreMachine, associator, compose_cells
 from mealymoore.semantics import words_up_to
 
 
@@ -152,3 +154,46 @@ def cascade(second, first):
 def tables(m):
     """(kind, states, delta, out) of a machine, comparable with cascade()."""
     return type(m), m.states, m.delta, m.out
+
+
+def pinfty_carrier(x, depth):
+    """Brute-force count of the functions from words of length ≤ depth to
+    x that agree with the head letter on every nonempty word: all
+    |x|^(number of words) functions are tried."""
+    words = words_up_to(x, depth)  # the empty word comes first
+    heads = tuple(w[0] for w in words[1:])
+    return sum(
+        1 for values in itertools.product(x.symbols, repeat=len(words))
+        if values[1:] == heads
+    )
+
+
+def _whisker_right(phi, first):
+    """φ⋄first as a dict on pair states (x, e), x a state of φ's source."""
+    return {(x, e): (y, e) for x, y in phi.items() for e in first.states}
+
+
+def _whisker_left(second, phi):
+    """second⋄φ as a dict on pair states (s, x), x a state of φ's source."""
+    return {(s, x): (s, y) for s in second.states for x, y in phi.items()}
+
+
+def pentagon_maps(k, h, g, f):
+    """The pentagon for the associator, read from the forward maps that
+    ``associator`` returns: do the two paths ((k⋄h)⋄g)⋄f → k⋄(h⋄(g⋄f))
+
+        α(k, h, g⋄f) · α(k⋄h, g, f)
+        (k⋄α(h, g, f)) · α(k, h⋄g, f) · (α(k, h, g)⋄f)
+
+    agree on every state?  The whiskerings are built here as dicts; a
+    state one map sends outside the next map's domain raises KeyError."""
+    top = associator(compose_cells(k, h), g, f)
+    top_next = associator(k, h, compose_cells(g, f))
+    low = associator(k, h, g)
+    low_mid = associator(k, compose_cells(h, g), f)
+    low_last = associator(h, g, f)
+    path_one = {s: top_next.forward.map[top.forward.map[s]] for s in top.source.states}
+    first = _whisker_right(low.forward.map, f)
+    last = _whisker_left(k, low_last.forward.map)
+    path_two = {s: last[low_mid.forward.map[first[s]]] for s in top.source.states}
+    return path_one == path_two

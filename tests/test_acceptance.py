@@ -51,7 +51,14 @@ from mealymoore import (
 from mealymoore.generate import all_mealy, all_mealy_up_to, all_moore, all_moore_up_to
 
 from conftest import BITS, make_cpar, make_par
-from oracles import cascade, extension_square_words, n_soft, tables
+from oracles import (
+    cascade,
+    extension_square_words,
+    n_soft,
+    pentagon_maps,
+    pinfty_carrier,
+    tables,
+)
 
 
 FULL_SWEEP = os.environ.get("MEALYMOORE_FULL_SWEEP") == "1"
@@ -245,12 +252,14 @@ def test_criterion_05_coherence():
         slots = [list(_machines_with_exactly(chain[i], chain[i + 1], 1)) for i in range(4)]
         for f, g, h, k in itertools.product(*slots):
             assert check_pentagon(k, h, g, f)
+            assert pentagon_maps(k, h, g, f)
             checked += 1
     # Exhaustive ≤ 2-state quadruples over the one-letter chain.
     one = _alphabet(1)
     slot = list(_machines_with_exactly(one, one, 1)) + list(_machines_with_exactly(one, one, 2))
     for f, g, h, k in itertools.product(slot, repeat=4):
         assert check_pentagon(k, h, g, f)
+        assert pentagon_maps(k, h, g, f)
         checked += 1
     # 1000 random composable quadruples with ≤ 3 states each.
     rng = random.Random(5)
@@ -263,8 +272,10 @@ def test_criterion_05_coherence():
         bij = associator(h, g, f)
         assert is_homomorphism(bij.forward) and is_homomorphism(bij.backward)
         assert check_pentagon(k, h, g, f)
+        assert pentagon_maps(k, h, g, f)
         checked += 1
-    verdict(5, "coherence", True, "%d quadruples" % checked)
+    verdict(5, "coherence", True,
+            "%d quadruples, each also by the associator maps" % checked)
 
 
 def _letter_independent(m):
@@ -321,13 +332,16 @@ def test_criterion_07_extension_square(moore_sweep):
 
 
 def test_criterion_08_pullback_carrier():
+    # The count is a per-word product by construction, so it is compared
+    # with the brute-force count wherever that is tractable.
     two = _alphabet(2)
     three = _alphabet(3)
-    for depth in (1, 2, 3):
-        assert pinfty_carrier_check(two, depth) == 2
-    for depth in (1, 2):
-        assert pinfty_carrier_check(three, depth) == 3
-    verdict(8, "pullback-carrier", True, "counts 2 and 3")
+    checked = [(two, depth) for depth in (1, 2, 3)] + [(three, depth) for depth in (1, 2)]
+    for x, depth in checked:
+        assert pinfty_carrier_check(x, depth) == pinfty_carrier(x, depth) == len(x)
+    assert pinfty_carrier_check(three, 6) == 3
+    verdict(8, "pullback-carrier", True,
+            "counts 2 and 3, %d by brute force, 3 letters also at depth 6" % len(checked))
 
 
 def test_criterion_09_non_unitality():
@@ -351,10 +365,15 @@ def test_criterion_10_unitization():
     for c2, c1 in itertools.product(corpus, repeat=2):
         ok = ok and check_triangle(c2, c1)
         pairs += 1
+    machine_quads = 0
     for quad in itertools.product(corpus, repeat=4):
         ok = ok and check_upentagon(*quad)
         quads += 1
-    verdict(10, "unitization", ok, "%d triangles, %d pentagons" % (pairs, quads))
+        if not any(isinstance(c, FormalId) for c in quad):
+            assert pentagon_maps(*quad)
+            machine_quads += 1
+    verdict(10, "unitization", ok, "%d triangles, %d pentagons, %d by the associator maps"
+            % (pairs, quads, machine_quads))
 
 
 def test_criterion_11_counit_and_functoriality(mealy_sweep):

@@ -314,19 +314,22 @@ class TestCheck:
     def test_pentagon_wrong_arity(self, files, capsys):
         assert main(["check", "pentagon", files["par"]]) == 2
 
-    def test_pentagon_random(self, files, capsys):
-        assert main(["check", "pentagon", "--samples", "20", "--seed", "1"]) == 0
-        assert "20 random quadruples (seed 1)" in capsys.readouterr().out
+    def test_pentagon_has_no_sampling_mode(self, capsys):
+        # The pentagon holds by definition, so a sampled run would cover
+        # nothing; --samples is an unknown option.
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "pentagon", "--samples", "20"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--samples" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
     ["check", "n-soft", "0", "p2"],
     ["check", "extension-square", "0", "cpar"],
-    ["check", "pentagon", "--samples", "-3"],
-    ["check", "pentagon", "--samples", "0"],
     ["search-identity", "--alphabet", "0,1", "--max-states", "0"],
-], ids=["n-soft-0", "extension-square-0", "pentagon-samples-neg", "pentagon-samples-0",
-        "search-identity-max-states-0"])
+], ids=["n-soft-0", "extension-square-0", "search-identity-max-states-0"])
 def test_bound_covering_nothing_is_bad_input(files, capsys, argv):
     argv = [files.get(arg, arg) for arg in argv]
     assert main(argv) == 2

@@ -7,6 +7,7 @@ from mealymoore import (
     EndpointMismatch,
     FormalId,
     KindMismatch,
+    MooreMachine,
     StateMap,
     UMap,
     check_triangle,
@@ -143,6 +144,18 @@ class TestTriangle:
             c1 = random_moore(rng, bits, bits, rng.randint(1, 3))
             assert check_triangle(c2, c1)
 
+    def test_endpoint_mismatch(self, bits, cpar):
+        three = Alphabet("three", ("0", "1", "2"))
+        with pytest.raises(EndpointMismatch):
+            check_triangle(FormalId(three), cpar)
+        with pytest.raises(EndpointMismatch):
+            check_triangle(cpar, _to_three(bits, three))
+
+
+def _to_three(bits, three):
+    """A one-state Moore cell reading bits and emitting {0, 1, 2}."""
+    return MooreMachine(bits, three, ("s",), {("s", "0"): "s", ("s", "1"): "s"}, {"s": "2"})
+
 
 class TestUPentagon:
     def test_all_machines(self, cpar, u2, p2):
@@ -177,3 +190,27 @@ class TestUPentagon:
         three = Alphabet("three", ("0", "1", "2"))
         with pytest.raises(EndpointMismatch):
             check_upentagon(FormalId(three), cpar, cpar, cpar)
+
+    def test_mealy_cell_raises(self, par, cpar):
+        # Mealy machines are not cells of the unitized structure, so the
+        # chain check refuses them rather than reporting the law.
+        with pytest.raises(KindMismatch):
+            check_upentagon(cpar, cpar, par, cpar)
+        with pytest.raises(KindMismatch):
+            check_triangle(cpar, par)
+        with pytest.raises(KindMismatch):
+            ucompose(IDB, par)
+
+    @pytest.mark.parametrize("formal", [False, True], ids=["machines", "formal"])
+    @pytest.mark.parametrize("broken", range(3))
+    def test_any_broken_link_raises(self, bits, cpar, broken, formal):
+        # Link i joins cells[i] to cells[i + 1], the cell composed before
+        # it; exactly that link breaks.
+        three = Alphabet("three", ("0", "1", "2"))
+        if formal:
+            cells = [FormalId(three)] * (broken + 1) + [IDB] * (3 - broken)
+        else:
+            cells = [cpar] * 4
+            cells[broken + 1] = _to_three(bits, three)
+        with pytest.raises(EndpointMismatch):
+            check_upentagon(*cells)

@@ -4,7 +4,7 @@ import pytest
 
 from mealymoore import (
     Alphabet,
-    EnumerationTooLarge,
+    MachineError,
     PointedMachine,
     StateMap,
     apply_D1,
@@ -64,9 +64,13 @@ class TestPinftyCarrier:
     def test_singleton(self):
         assert pinfty_carrier_check(Alphabet("one", ("a",)), 5) == 1
 
-    def test_guard(self):
-        with pytest.raises(EnumerationTooLarge):
-            pinfty_carrier_check(Alphabet("three", ("a", "b", "c")), 4)
+    def test_three_letters_depth_four(self):
+        # 3^121 functions: out of reach of enumeration, one factor per word.
+        assert pinfty_carrier_check(Alphabet("three", ("a", "b", "c")), 4) == 3
+
+    def test_depth_zero_is_refused(self, bits):
+        with pytest.raises(MachineError):
+            pinfty_carrier_check(bits, 0)
 
 
 class TestEmbedJ:
