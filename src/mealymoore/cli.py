@@ -7,6 +7,7 @@ FAILURE report, 2 for usage and validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -326,9 +327,15 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser():
+    # parse_args leaves the parser unchanged, so one serves every request
+    # of the process; build_parser() stays a factory of fresh parsers.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except MachineError as err:

@@ -12,6 +12,7 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import reprlib
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -179,16 +180,16 @@ def _flatten_table(table, what, nested=True):
     """Check a raw table keyed by state.  Nested {state: {letter: value}}
     tables are flattened to (state, letter) keys; flat ones (a Moore
     output table) must map each state to a bare value."""
-    if not isinstance(table, Mapping):
+    if not isinstance(table, abc.Mapping):
         raise MissingEntry("%s must be a table keyed by state" % what)
     if not nested:
         for e, v in table.items():
-            if isinstance(v, Mapping):
+            if isinstance(v, abc.Mapping):
                 raise MissingEntry("%s[%r]: a Moore output table maps states to letters" % (what, e))
         return table
     flat = {}
     for e, row in table.items():
-        if not isinstance(row, Mapping):
+        if not isinstance(row, abc.Mapping):
             raise MissingEntry("%s[%r] must be a per-letter table" % (what, e))
         for a, v in row.items():
             flat[(e, a)] = v

@@ -46,7 +46,16 @@ class VersionMismatch(MachineFileError):
 
 def parse_machine_text(text: str) -> dict:
     """Parse a machine document into the raw description consumed by
-    validate_mealy / validate_moore."""
+    validate_mealy / validate_moore.
+
+    How deep the JSON may nest is bounded by the recursion limit, counted
+    from the caller's own stack depth.  A document nested deeper than the
+    stack has room for raises MachineFileSyntaxError ("JSON nested too
+    deeply"); from a shallower caller the same document parses, and
+    validation then refuses the nested list as a state or delta target
+    (UnknownSymbol).  Either way a deeply nested machine file is a
+    MachineError, so the command exits 2 with one short error line; only
+    which error it prints depends on the caller."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -8,9 +10,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mealymoore import (
     Alphabet,
     MooreMachine,
+    __version__,
+    cli,
     load_machine,
     moorify,
     save_machine,
+    serialize_machine,
     universal_p,
     universal_u,
 )
@@ -133,6 +138,24 @@ def test_huge_delta_target_gives_short_error(tmp_path, capsys, command, name):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "delta target" in err
     assert len(err) < 200
+
+
+def _from_depth(extra, call):
+    """call() made from ``extra`` more stack frames."""
+    return call() if extra == 0 else _from_depth(extra - 1, call)
+
+
+@pytest.mark.parametrize("extra", [0, 600])
+def test_deep_target_is_bad_input_from_any_depth(tmp_path, capsys, extra):
+    # Depending on the caller's stack depth the 985-deep target is refused
+    # by the JSON parser or by the table check; both are one error line.
+    path = tmp_path / "deep.machine"
+    path.write_bytes(_with_delta_target("[" * 985 + '"q0"' + "]" * 985))
+    assert _from_depth(extra, lambda: main(["validate", str(path)])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert len(captured.err) < 200
 
 
 def _nodes(node, path=()):
@@ -398,3 +421,59 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_parser_is_built_once_and_shared(files, monkeypatch, capsys):
+    built, loaded = [], []
+    build_parser, load_machine = cli.build_parser, cli.load_machine
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    def recording_load_machine(path):
+        loaded.append(path)
+        return load_machine(path)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(cli, "load_machine", recording_load_machine)
+    par2 = str(files["dir"] / "par2.machine")
+    save_machine(make_par(), par2)
+
+    # The parser is built under another stdout; later output still goes
+    # to whatever sys.stdout is when it prints.
+    with contextlib.redirect_stdout(io.StringIO()) as first:
+        assert main(["validate", files["par"]]) == 0
+    assert first.getvalue() == "valid: mealy, 2 states\n"
+
+    for probe in (files["par"], par2):
+        loaded.clear()
+        search = ["search-identity", "--alphabet", "0,1", "--max-states", "1", "--probe", probe]
+        assert main(search) == 0
+        assert loaded == [probe]
+        assert "survivors: 0" in capsys.readouterr().out
+
+    assert main(["transform", "u", "--alphabet", "0,1"]) == 0
+    assert capsys.readouterr().out == serialize_machine(universal_u(BITS))
+    assert main(["transform", "moorify", files["par"]]) == 0
+    assert capsys.readouterr().out == serialize_machine(moorify(make_par()))
+    assert main(["transform", "u"]) == 2
+    assert "needs --alphabet" in capsys.readouterr().err
+
+    quad = [files["par"], files["cpar"], files["u2"], files["p2"]]
+    assert main(["check", "pentagon"] + quad) == 0
+    assert main(["check", "pentagon"]) == 2
+
+    with pytest.raises(SystemExit) as exc:
+        main(["validate"])
+    assert exc.value.code == 2
+    assert "usage: mealymoore validate" in capsys.readouterr().err
+    assert main(["validate", files["cpar"]]) == 0
+    assert capsys.readouterr().out == "valid: moore, 2 states\n"
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == __version__ + "\n"
+    assert len(built) == 1

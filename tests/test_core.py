@@ -1,4 +1,5 @@
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -108,6 +109,16 @@ class TestValidateMealy:
 
     def test_idempotent(self):
         assert validate_mealy(PAR_RAW) == validate_mealy(PAR_RAW) == make_par()
+
+    def test_read_only_rows_are_tables(self):
+        rows = {e: MappingProxyType(row) for e, row in PAR_RAW["delta"].items()}
+        raw = {**PAR_RAW, "delta": MappingProxyType(rows)}
+        assert validate_mealy(raw) == make_par()
+
+    def test_list_row_rejected(self):
+        raw = {**PAR_RAW, "out": {"q0": ["0", "1"], "q1": PAR_RAW["out"]["q1"]}}
+        with pytest.raises(MissingEntry):
+            validate_mealy(raw)
 
 
 class TestValidateMoore:
