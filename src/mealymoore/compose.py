@@ -27,7 +27,6 @@ from .core import (
     MealyMachine,
     MooreMachine,
     StateMap,
-    _j_out,
     is_homomorphism,
 )
 
@@ -45,21 +44,24 @@ def compose_cells(second: Machine, first: Machine) -> Machine:
 
     With b = out_J(first)(e, a): delta((f,e), a) = (delta₂(f, b), delta₁(e, a))
     and out((f,e), a) = out_J(second)(f, b).  When either factor is Moore
-    this output ignores a, and the composite is a MooreMachine."""
+    this output ignores a, and the composite is a MooreMachine.
+
+    Built on the index form: the state (f, e) is f·|first| + e, and b,
+    an index into first's output symbols, is a letter index of second."""
     _require_chain(second, first)
-    emit, read = _j_out(first), _j_out(second)
-    letters = first.input.symbols
-    states = tuple((f, e) for f in second.states for e in first.states)
-    delta = {
-        ((f, e), a): (second.delta[(f, emit[(e, a)])], first.delta[(e, a)])
-        for f, e in states for a in letters
-    }
-    if isinstance(second, MealyMachine) and isinstance(first, MealyMachine):
-        out = {((f, e), a): read[(f, emit[(e, a)])] for f, e in states for a in letters}
-        return MealyMachine._trusted(first.input, second.output, states, delta, out)
-    a = letters[0]  # the output ignores the letter, so read it at any one
-    out = {(f, e): read[(f, emit[(e, a)])] for f, e in states}
-    return MooreMachine._trusted(first.input, second.output, states, delta, out)
+    k, k2, n1 = len(first.input.symbols), len(second.input.symbols), first._n
+    d1, o1, d2, o2 = first._d, first._o, second._d, second._o
+    rows = range(0, len(d2), k2)  # f·k₂ for each state f of second
+    first_mealy = isinstance(first, MealyMachine)
+    emit = o1 if first_mealy else [b for b in o1 for _ in range(k)]  # b at e·k + a
+    d = tuple([d2[y + b] * n1 + t for y in rows for t, b in zip(d1, emit)])
+    if isinstance(second, MooreMachine):
+        o = tuple([o for o in o2 for _ in range(n1)])
+    else:  # out₂(f, b) with b = out₁(e, a), or out₁(e) when first is Moore
+        o = tuple([o2[y + b] for y in rows for b in o1])
+    kind = MealyMachine if first_mealy and isinstance(second, MealyMachine) else MooreMachine
+    return kind._trusted(first.input, second.output, _d=d, _o=o, _n=second._n * n1,
+                         _factors=(second, first))
 
 
 def _require_kinds(name, second, first, second_kind, first_kind):
@@ -114,6 +116,14 @@ class StateBijection:
         if not is_homomorphism(self.forward) or not is_homomorphism(self.backward):
             raise NotAnIso("both directions must be homomorphisms")
 
+    @classmethod
+    def _trusted(cls, source, target, forward, backward):
+        """An isomorphism the library built by a fixed re-bracketing, so
+        inverse homomorphisms by construction: no check."""
+        iso = object.__new__(cls)
+        iso.__dict__.update(source=source, target=target, forward=forward, backward=backward)
+        return iso
+
     __hash__ = None
 
 
@@ -124,14 +134,16 @@ class NotAnIso(KindMismatch):
 def associator(h: Machine, g: Machine, f: Machine) -> StateBijection:
     """The re-bracketing bijection (h⋄g)⋄f ≅ h⋄(g⋄f).
 
-    Forward direction: ((eh,eg),ef) ↦ (eh,(eg,ef)).
+    Forward direction: ((eh,eg),ef) ↦ (eh,(eg,ef)).  Both bracketings
+    number that state (eh·|g| + eg)·|f| + ef, so on the index form both
+    directions are the identity, and being inverse homomorphisms is
+    definitional: the bijection is built without the check.
     """
     left = compose_cells(compose_cells(h, g), f)
     right = compose_cells(h, compose_cells(g, f))
-    fwd = {((eh, eg), ef): (eh, (eg, ef)) for eh in h.states for eg in g.states for ef in f.states}
-    bwd = {v: k for k, v in fwd.items()}
-    return StateBijection(
-        left, right, StateMap._trusted(left, right, fwd), StateMap._trusted(right, left, bwd)
+    same = tuple(range(left._n))
+    return StateBijection._trusted(
+        left, right, StateMap._trusted(left, right, same), StateMap._trusted(right, left, same)
     )
 
 
@@ -143,8 +155,8 @@ def check_pentagon(k: Machine, h: Machine, g: Machine, f: Machine) -> bool:
     checked (EndpointMismatch where a link breaks).  Both paths are fixed
     re-bracketings of nested pairs, (((ek,eh),eg),ef) ↦ (ek,(eh,(eg,ef))),
     so they agree on every state whatever the tables are.  The tables
-    enter only through ``associator``, whose components ``StateBijection``
-    checks to be inverse homomorphisms.
+    enter only through ``associator``, whose components are the identity
+    on the index form.
     """
     _require_chain(k, h)
     _require_chain(h, g)
@@ -161,7 +173,7 @@ def check_j_compatibilities(m: Machine, n: Machine) -> bool:
     - m, n both Moore:   m⋄Jn = Jm⋄n  and  J(m⋄n) = Jm⋄Jn
 
     These hold by definition: ``compose_cells`` cascades the J-images of
-    the factors and ``embed_j`` reads outputs through the same helper, so
+    the factors and ``embed_j`` builds the same J-image table, so
     the per-kind formulas are tested against an independent oracle.
     """
     from .universal import embed_j

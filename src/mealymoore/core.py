@@ -6,14 +6,27 @@ machines, letter-independent for Moore machines.  State maps between
 machines with common endpoints are candidate 2-cells; the homomorphism
 predicate checks equivariance and output preservation.
 
+Every machine also has an index form, which is what the kernels read:
+states 0..n−1 and input letters 0..k−1 in declaration order, ``_d`` the
+flat tuple of target indices at ``i*k + a``, and ``_o`` the flat tuple of
+output-symbol indices, at ``i*k + a`` (Mealy) or at ``i`` (Moore).  A
+machine built from named tables (by the caller, from a file, or by the
+random generators) gets its index form on the first kernel call; one the
+library builds in index form (composites, enumerated machines, D₀ and D₁
+images) builds its named tables on first access.  Either form is built
+once and kept.  The named ``delta`` and ``out`` are read-only mappings,
+so the two forms cannot drift apart.
+
 All values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
+import itertools
 import reprlib
 from collections import abc
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Union
 
 State = Union[str, tuple]
@@ -112,10 +125,25 @@ def _check_table(what, table, expected, allowed, bad_value):
         raise UnknownSymbol(bad_value % reprlib.repr(value)) from None
 
 
+def _indexed(table, keys, code):
+    """The tuple of code[table[x]] for x in keys.  A table that lists
+    exactly these keys in this order, as tables read from a file or
+    generated usually do, is read in place."""
+    values = table.values() if list(table) == keys else map(table.__getitem__, keys)
+    return tuple(map(code.__getitem__, values))
+
+
 @dataclass(frozen=True)
 class _Machine:
-    """The fields and table check of both kinds.  The tables are copied,
-    so mutating the caller's dicts cannot break a validated machine."""
+    """The fields and table check of both kinds.
+
+    The tables are copied into read-only mappings, so neither the caller's
+    dicts nor writes through ``delta`` or ``out`` can change a validated
+    machine.  The same holds for machines the library builds, whose
+    named tables are built on first access: assigning into ``delta`` or
+    ``out`` raises TypeError on every machine, so the named tables and
+    the cached index form always agree, and no machine sharing a table
+    with another can be changed through it."""
 
     input: Alphabet
     output: Alphabet
@@ -139,18 +167,75 @@ class _Machine:
         _check_table("out", out, cells if self._out_by_letter else stateset,
                      self.output.symbols, "output letter %s is not in the output alphabet")
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "out", out)
+        object.__setattr__(self, "delta", MappingProxyType(delta))
+        object.__setattr__(self, "out", MappingProxyType(out))
 
     @classmethod
-    def _trusted(cls, input, output, states, delta, out):
+    def _trusted(cls, input, output, **tables):
         """A machine from tables the library built total and well-typed
-        itself: no check, no copy.  The machine shares the given tables,
-        so they must not be changed afterwards; ``states`` must be a
-        tuple."""
+        itself: no check, no copy.  ``tables`` are the named ``states``,
+        ``delta`` and ``out``, read-only, or the index form ``_d``, ``_o``
+        and ``_n`` (the state count) with the state names: ``states``, a
+        tuple, or ``_factors``, the pair (second, first) of a composite,
+        whose state (f, e) has index f·|first| + e."""
         m = object.__new__(cls)
-        m.__dict__.update(input=input, output=output, states=states, delta=delta, out=out)
+        m.__dict__.update(tables, input=input, output=output)
         return m
+
+    def __getattr__(self, name):
+        """Build, on first use, what the machine was not made with, and
+        keep it: the index form of a machine with named tables, the named
+        view of one built in index form."""
+        have = self.__dict__
+        if name in ("_d", "_o", "_n"):
+            states = self.states
+            keys = list(itertools.product(states, self.input.symbols))
+            pos = have.get("_pos") or {e: i for i, e in enumerate(states)}
+            code = {b: j for j, b in enumerate(self.output.symbols)}
+            have["_d"] = _indexed(self.delta, keys, pos)
+            have["_o"] = _indexed(self.out, keys if self._out_by_letter else list(states), code)
+            have["_n"] = len(states)
+        elif name in ("delta", "out"):
+            states = self.states
+            keys = list(itertools.product(states, self.input.symbols))
+            symbols = self.output.symbols
+            have["delta"] = MappingProxyType(dict(zip(keys, map(states.__getitem__, self._d))))
+            have["out"] = MappingProxyType(dict(zip(keys if self._out_by_letter else states,
+                                                    map(symbols.__getitem__, self._o))))
+        elif name == "states":
+            second, first = have["_factors"]
+            have["states"] = tuple(itertools.product(second.states, first.states))
+        elif name == "_pos":
+            have["_pos"] = {e: i for i, e in enumerate(self.states)}
+        else:
+            raise AttributeError(name)
+        return have[name]
+
+    def _index(self, s):
+        """The index of state s, or None if s is not a state."""
+        factors = self.__dict__.get("_factors")
+        if factors is None:
+            try:
+                return self._pos[s]
+            except (KeyError, TypeError):  # TypeError: an unhashable name
+                return None
+        if not isinstance(s, tuple) or len(s) != 2:
+            return None
+        f, e = factors[0]._index(s[0]), factors[1]._index(s[1])
+        return None if f is None or e is None else f * factors[1]._n + e
+
+    def _names(self):
+        """The state fields, for a machine on the same states."""
+        factors = self.__dict__.get("_factors")
+        return {"_n": self._n, **({"_factors": factors} if factors else {"states": self.states})}
+
+    def __eq__(self, other):
+        # Equal states and alphabets make the named and index tables
+        # determine each other, so the index form decides.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.input == other.input and self.output == other.output
+                and self.states == other.states and self._d == other._d and self._o == other._o)
 
     __hash__ = None
 
@@ -217,12 +302,15 @@ def validate_moore(raw: Mapping) -> MooreMachine:
     return _validate_raw(raw, MooreMachine)
 
 
-def _j_out(m: Machine) -> Mapping:
-    """m's output as a Mealy table out(e, a): for a Moore machine, that of
-    its image under the embedding J, which ignores the letter."""
-    if isinstance(m, MealyMachine):
-        return m.out
-    return {(e, a): m.out[e] for e in m.states for a in m.input.symbols}
+def _letter_indices(m: Machine, word) -> list:
+    """The input-letter indices of ``word``, mapped once per call."""
+    word = tuple(word)
+    code = {a: i for i, a in enumerate(m.input.symbols)}
+    try:
+        return [code[a] for a in word]
+    except (KeyError, TypeError):  # TypeError: an unhashable letter
+        bad = next(a for a in word if a not in m.input.symbols)
+        raise LetterOutOfAlphabet("letter %r is not in the input alphabet" % (bad,)) from None
 
 
 def identity_cell(a: Alphabet) -> MealyMachine:
@@ -236,7 +324,8 @@ def identity_cell(a: Alphabet) -> MealyMachine:
 @dataclass(frozen=True)
 class StateMap:
     """A candidate 2-cell: a total function between the state sets of
-    two machines of the same kind with common endpoints."""
+    two machines of the same kind with common endpoints.  ``map`` is a
+    read-only copy of the mapping given."""
 
     source: Machine
     target: Machine
@@ -258,32 +347,46 @@ class StateMap:
         for image in self.map.values():
             if image not in targets:
                 raise UnknownSymbol("map image %r is not a target state" % (image,))
+        object.__setattr__(self, "map", MappingProxyType(dict(self.map)))
 
     @classmethod
-    def _trusted(cls, source, target, map):
+    def _trusted(cls, source, target, img):
         """A state map the library built total between machines of one
-        kind with common endpoints: no check, no copy.  It shares
-        ``map``, which must not be changed afterwards."""
+        kind with common endpoints, as the tuple ``img`` of target-state
+        indices, one per source-state index: no check, no copy.  The
+        named ``map`` is built on first access."""
         phi = object.__new__(cls)
-        phi.__dict__.update(source=source, target=target, map=map)
+        phi.__dict__.update(source=source, target=target, _img=img)
         return phi
+
+    def __getattr__(self, name):
+        """Build, on first use, the index images or the named map."""
+        if name == "_img":
+            index = self.target._index
+            value = tuple(index(self.map[e]) for e in self.source.states)
+        elif name == "map":
+            images = map(self.target.states.__getitem__, self._img)
+            value = MappingProxyType(dict(zip(self.source.states, images)))
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = value
+        return value
 
     __hash__ = None
 
 
 def is_homomorphism(phi: StateMap) -> bool:
     """True iff phi commutes with the dynamics and preserves outputs."""
-    source, target, mapping = phi.source, phi.target, phi.map
+    source, target, img = phi.source, phi.target, phi._img
+    k = len(source.input.symbols)
+    d1, d2, o1, o2 = source._d, target._d, source._o, target._o
     mealy = isinstance(source, MealyMachine)
-    for e in source.states:
-        fe = mapping[e]
-        if not mealy and target.out[fe] != source.out[e]:
+    for i, t in enumerate(img):
+        x, y = i * k, t * k
+        if tuple(map(img.__getitem__, d1[x:x + k])) != d2[y:y + k]:
             return False
-        for a in source.input.symbols:
-            if mapping[source.delta[(e, a)]] != target.delta[(fe, a)]:
-                return False
-            if mealy and target.out[(fe, a)] != source.out[(e, a)]:
-                return False
+        if o1[x:x + k] != o2[y:y + k] if mealy else o1[i] != o2[t]:
+            return False
     return True
 
 

@@ -3,14 +3,16 @@
 Enumeration order is lexicographic over the table entries with states
 and letters in declaration order, so sweeps and reports are diffable.
 The tables built here are total by construction, so the machines skip
-the table check, and machines from one enumeration share their delta
-tables: like every machine, they must not be changed.
+the table check.  Enumerated machines are built in index form (see
+``core``) and share their index tuples; random ones are built with
+read-only named tables, as from a machine file.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from types import MappingProxyType
 from typing import Iterator
 
 from .core import (
@@ -42,21 +44,21 @@ def count_moore(inp: Alphabet, outp: Alphabet, n_states: int) -> int:
 def all_mealy(inp: Alphabet, outp: Alphabet, n_states: int) -> Iterator[MealyMachine]:
     """Every Mealy machine with exactly n_states states, in table order."""
     states = _state_names(n_states)
-    keys = [(e, a) for e in states for a in inp.symbols]
-    for targets in itertools.product(states, repeat=len(keys)):
-        delta = dict(zip(keys, targets))
-        for letters in itertools.product(outp.symbols, repeat=len(keys)):
-            yield MealyMachine._trusted(inp, outp, states, delta, dict(zip(keys, letters)))
+    cells = n_states * len(inp)
+    for targets in itertools.product(range(n_states), repeat=cells):
+        for letters in itertools.product(range(len(outp)), repeat=cells):
+            yield MealyMachine._trusted(inp, outp, _d=targets, _o=letters, _n=n_states,
+                                        states=states)
 
 
 def all_moore(inp: Alphabet, outp: Alphabet, n_states: int) -> Iterator[MooreMachine]:
     """Every Moore machine with exactly n_states states, in table order."""
     states = _state_names(n_states)
-    keys = [(e, a) for e in states for a in inp.symbols]
-    for targets in itertools.product(states, repeat=len(keys)):
-        delta = dict(zip(keys, targets))
-        for letters in itertools.product(outp.symbols, repeat=n_states):
-            yield MooreMachine._trusted(inp, outp, states, delta, dict(zip(states, letters)))
+    cells = n_states * len(inp)
+    for targets in itertools.product(range(n_states), repeat=cells):
+        for letters in itertools.product(range(len(outp)), repeat=n_states):
+            yield MooreMachine._trusted(inp, outp, _d=targets, _o=letters, _n=n_states,
+                                        states=states)
 
 
 def _all_up_to(count, enumerate_exactly, inp, outp, max_states):
@@ -79,14 +81,16 @@ def random_mealy(rng: random.Random, inp: Alphabet, outp: Alphabet, n_states: in
     states = _state_names(n_states)
     delta = {(e, a): rng.choice(states) for e in states for a in inp.symbols}
     out = {(e, a): rng.choice(outp.symbols) for e in states for a in inp.symbols}
-    return MealyMachine._trusted(inp, outp, states, delta, out)
+    return MealyMachine._trusted(inp, outp, states=states, delta=MappingProxyType(delta),
+                                 out=MappingProxyType(out))
 
 
 def random_moore(rng: random.Random, inp: Alphabet, outp: Alphabet, n_states: int) -> MooreMachine:
     states = _state_names(n_states)
     delta = {(e, a): rng.choice(states) for e in states for a in inp.symbols}
     out = {e: rng.choice(outp.symbols) for e in states}
-    return MooreMachine._trusted(inp, outp, states, delta, out)
+    return MooreMachine._trusted(inp, outp, states=states, delta=MappingProxyType(delta),
+                                 out=MappingProxyType(out))
 
 
 def random_cell(rng: random.Random, inp: Alphabet, outp: Alphabet, max_states: int):

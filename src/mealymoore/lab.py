@@ -55,22 +55,22 @@ def enumerate_homs(m1: Machine, m2: Machine) -> HomSet:
     """Every homomorphism m1 → m2, in lexicographic order of the
     target-state indices of the images of m1's states.
 
-    Depth-first search: the first source state without an image is sent
-    to each target state in declaration order, and each choice is
-    propagated along the dynamics, phi(delta1(e, a)) = delta2(phi(e), a),
-    until it clashes on an output or an image, or forces nothing more.
-    Each choice is one search node; more than ENUMERATION_GUARD nodes
-    raise EnumerationTooLarge.
+    Depth-first search on the index form: the first source state without
+    an image is sent to each target state in declaration order, and each
+    choice is propagated along the dynamics,
+    phi(delta1(e, a)) = delta2(phi(e), a), until it clashes on an output
+    or an image, or forces nothing more.  Each choice is one search node;
+    more than ENUMERATION_GUARD nodes raise EnumerationTooLarge.
     """
     if type(m1) is not type(m2):
         raise KindMismatch("hom-sets relate machines of the same kind")
     if m1.input.symbols != m2.input.symbols or m1.output.symbols != m2.output.symbols:
         raise EndpointMismatch("hom-sets require common alphabets")
-    letters = m1.input.symbols
-    sources, targets = m1.states, m2.states
-    d1, d2, o1, o2 = m1.delta, m2.delta, m1.out, m2.out
+    k = len(m1.input.symbols)
+    d1, d2, o1, o2 = m1._d, m2._d, m1._o, m2._o
     mealy = isinstance(m1, MealyMachine)
-    phi = {}  # the image of each source state found so far
+    n, width = m1._n, m2._n
+    phi = [-1] * n  # the image of each source state found so far, -1 for none
     trail = []  # source states in the order they got their image
 
     def propagate(e, t):
@@ -82,43 +82,45 @@ def enumerate_homs(m1: Machine, m2: Machine) -> HomSet:
             y = phi[x]
             if not mealy and o1[x] != o2[y]:
                 return False
-            for a in letters:
-                if mealy and o1[(x, a)] != o2[(y, a)]:
+            x *= k
+            y *= k
+            for a in range(k):
+                if mealy and o1[x + a] != o2[y + a]:
                     return False
-                x2, y2 = d1[(x, a)], d2[(y, a)]
-                if x2 not in phi:
-                    phi[x2] = y2
+                x2 = d1[x + a]
+                z = phi[x2]
+                if z < 0:
+                    phi[x2] = d2[y + a]
                     trail.append(x2)
                     todo.append(x2)
-                elif phi[x2] != y2:
+                elif z != d2[y + a]:
                     return False
         return True
 
     homs = []
     nodes = 0
-    n, width = len(sources), len(targets)
     stack = [[0, 0, 0]]  # [source state to branch on, next choice, trail length before]
     while stack:
         frame = stack[-1]
-        i, k, mark = frame
+        i, t, mark = frame
         while len(trail) > mark:
-            del phi[trail.pop()]
-        if k == width:
+            phi[trail.pop()] = -1
+        if t == width:
             stack.pop()
             continue
-        frame[1] = k + 1
+        frame[1] = t + 1
         nodes += 1
         if nodes > ENUMERATION_GUARD:
             raise EnumerationTooLarge("the hom-set search visited more than %d nodes"
                                       % ENUMERATION_GUARD)
-        if not propagate(sources[i], targets[k]):
+        if not propagate(i, t):
             continue
-        while i < n and sources[i] in phi:
+        while i < n and phi[i] >= 0:
             i += 1
         if i < n:
             stack.append([i, 0, len(trail)])
         else:
-            homs.append(StateMap._trusted(m1, m2, {e: phi[e] for e in sources}))
+            homs.append(StateMap._trusted(m1, m2, tuple(phi)))
     return HomSet(m1, m2, tuple(homs))
 
 
@@ -139,30 +141,32 @@ class BijectionReport:
 
 def _transpose_report(n, left, right):
     """Attempt φ ↦ (e ↦ (out_n(e), φ(e))) as a bijection left → right,
-    with the inverse projecting the second component."""
-    right_maps = right.maps()
-    left_maps = left.maps()
+    with the inverse projecting the second component.  The right-hand
+    target is a register after left's target m, whose state (b, e) has
+    index b·|m| + e, so the transposition works on index images."""
+    width = left.target._n
+    right_imgs = [psi._img for psi in right.homs]
+    left_imgs = [phi._img for phi in left.homs]
     pairs = []
     for phi in left.homs:
-        transposed = {e: (n.out[e], phi.map[e]) for e in n.states}
-        if transposed not in right_maps:
+        transposed = tuple(b * width + t for b, t in zip(n._o, phi._img))
+        if transposed not in right_imgs:
             return BijectionReport(
                 left, right, (), False,
-                "transpose of %r is not in the right hom-set" % (phi.map,),
+                "transpose of %r is not in the right hom-set" % (dict(phi.map),),
             )
-        pairs.append((phi, right.homs[right_maps.index(transposed)]))
+        pairs.append((phi, right.homs[right_imgs.index(transposed)]))
     for psi in right.homs:
-        projected = {e: psi.map[e][1] for e in n.states}
-        if projected not in left_maps:
+        projected = tuple(t % width for t in psi._img)
+        if projected not in left_imgs:
             return BijectionReport(
                 left, right, (), False,
-                "projection of %r is not in the left hom-set" % (psi.map,),
+                "projection of %r is not in the left hom-set" % (dict(psi.map),),
             )
-        back = {e: (n.out[e], projected[e]) for e in n.states}
-        if back != psi.map:
+        if tuple(b * width + t for b, t in zip(n._o, projected)) != psi._img:
             return BijectionReport(
                 left, right, (), False,
-                "round trip fails at %r" % (psi.map,),
+                "round trip fails at %r" % (dict(psi.map),),
             )
     if len(left.homs) != len(right.homs):
         return BijectionReport(left, right, (), False, "hom-set sizes differ")
@@ -194,9 +198,8 @@ def check_hom_correspondence(n: MooreMachine, m: MealyMachine) -> BijectionRepor
 def check_counit(m: MealyMachine) -> bool:
     """True iff projecting the buffered output component,
     (b, e) ↦ e, is a Mealy homomorphism apply_D1(moorify(m)) → m."""
-    src = apply_D1(moorify(m))
-    proj = StateMap._trusted(src, m, {s: s[1] for s in src.states})
-    return is_homomorphism(proj)
+    src = apply_D1(moorify(m))  # its state (b, e) has index b·|m| + e
+    return is_homomorphism(StateMap._trusted(src, m, tuple(range(m._n)) * len(m.output.symbols)))
 
 
 def check_moorify_functorial(phi: StateMap) -> bool:
@@ -206,8 +209,9 @@ def check_moorify_functorial(phi: StateMap) -> bool:
         raise NotAHomomorphism("moorify is only functorial on homomorphisms")
     src = moorify(phi.source)
     tgt = moorify(phi.target)
-    lifted = StateMap._trusted(src, tgt, {(b, e): (b, phi.map[e]) for b, e in src.states})
-    return is_homomorphism(lifted)
+    b_count, width = len(phi.source.output.symbols), phi.target._n  # (b, e) is b·width + e
+    lifted = tuple(b * width + t for b in range(b_count) for t in phi._img)
+    return is_homomorphism(StateMap._trusted(src, tgt, lifted))
 
 
 @dataclass(frozen=True)

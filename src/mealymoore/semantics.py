@@ -13,20 +13,20 @@ test suite as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import (
     EmptyWordOnMealy,
     EndpointMismatch,
     KindMismatch,
     Letter,
-    LetterOutOfAlphabet,
     Machine,
     MachineError,
     MealyMachine,
     MooreMachine,
     State,
     UnknownSymbol,
+    _letter_indices,
 )
 
 
@@ -38,63 +38,44 @@ class PointedMachine:
     start: State
 
     def __post_init__(self):
-        if self.start not in self.machine.states:
+        i = self.machine._index(self.start)
+        if i is None:
             raise UnknownSymbol("start state %r is not declared" % (self.start,))
+        object.__setattr__(self, "_i", i)  # the start's index
 
     __hash__ = None
 
 
-def _check_word(machine, word):
-    word = tuple(word)
-    for a in word:
-        if a not in machine.input:
-            raise LetterOutOfAlphabet("letter %r is not in the input alphabet" % (a,))
-    return word
+def _outputs(p: PointedMachine, word) -> list:
+    """The output indices emitted while consuming ``word``: one per
+    letter (Mealy), or one per visited state, the start first (Moore)."""
+    m = p.machine
+    letters = _letter_indices(m, word)
+    k, d, i = len(m.input.symbols), m._d, p._i
+    visited = [i]
+    for a in letters:
+        i = d[i * k + a]
+        visited.append(i)
+    if isinstance(m, MealyMachine):
+        visited = [x * k + a for x, a in zip(visited, letters)]
+    return list(map(m._o.__getitem__, visited))
 
 
 def run(p: PointedMachine, word: Iterable[Letter]) -> Letter:
     """The output of the machine after consuming ``word`` from the start
     state: the last emitted letter (Mealy) or the output of the state
     reached (Moore, which also answers on the empty word)."""
-    m = p.machine
-    word = _check_word(m, word)
-    if isinstance(m, MealyMachine):
-        if not word:
-            raise EmptyWordOnMealy("a Mealy machine has no output on the empty word")
-        e = p.start
-        for a in word[:-1]:
-            e = m.delta[(e, a)]
-        return m.out[(e, word[-1])]
-    e = p.start
-    for a in word:
-        e = m.delta[(e, a)]
-    return m.out[e]
+    emitted = _outputs(p, word)
+    if not emitted:
+        raise EmptyWordOnMealy("a Mealy machine has no output on the empty word")
+    return p.machine.output.symbols[emitted[-1]]
 
 
 def trace(p: PointedMachine, word: Iterable[Letter]) -> tuple[Letter, ...]:
     """The word of outputs emitted while consuming ``word``: length |w|
     for a Mealy machine, length |w|+1 for a Moore machine (the output of
     every visited state, starting with the start state)."""
-    m = p.machine
-    word = _check_word(m, word)
-    e = p.start
-    if isinstance(m, MealyMachine):
-        emitted = []
-        for a in word:
-            emitted.append(m.out[(e, a)])
-            e = m.delta[(e, a)]
-        return tuple(emitted)
-    emitted = [m.out[e]]
-    for a in word:
-        e = m.delta[(e, a)]
-        emitted.append(m.out[e])
-    return tuple(emitted)
-
-
-def _observation(machine, e):
-    if isinstance(machine, MealyMachine):
-        return tuple(machine.out[(e, a)] for a in machine.input.symbols)
-    return machine.out[e]
+    return tuple(map(p.machine.output.symbols.__getitem__, _outputs(p, word)))
 
 
 def _renumber(signatures):
@@ -109,36 +90,31 @@ def bisimilar(p: PointedMachine, q: PointedMachine) -> bool:
     kind, by Moore's partition refinement on the disjoint union of their
     states.
 
-    Blocks are small integers.  The first partition groups states by
-    observation (output, or output row for Mealy machines); each round
-    renumbers the signatures (block, block of each successor) and the
-    refinement stops when the block count stops growing.  With
-    N = |Q₁|+|Q₂| there are at most N rounds of O(N·|A|) work each.
+    Blocks are small integers, over the index form with q's states
+    numbered after p's.  The first partition groups states by observation
+    (output, or output row for Mealy machines); each round renumbers the
+    signatures (block, block of each successor) and the refinement stops
+    when the block count stops growing.  With N = |Q₁|+|Q₂| there are at
+    most N rounds of O(N·|A|) work each.
     """
     m, n = p.machine, q.machine
     if type(m) is not type(n):
         raise KindMismatch("bisimilarity compares machines of the same kind")
     if m.input.symbols != n.input.symbols or m.output.symbols != n.output.symbols:
         raise EndpointMismatch("bisimilarity requires common alphabets")
-
-    # Number the nodes of the disjoint union once, m's states first.
-    nodes = [(side, machine, e) for side, machine in ((0, m), (1, n)) for e in machine.states]
-    number = {(side, e): i for i, (side, _, e) in enumerate(nodes)}
-    letters = m.input.symbols
-    successors = [
-        tuple(number[(side, machine.delta[(e, a)])] for a in letters)
-        for side, machine, e in nodes
-    ]
-    block, count = _renumber(_observation(machine, e) for _, machine, e in nodes)
+    k, shift = len(m.input.symbols), m._n
+    succ = m._d + tuple(t + shift for t in n._d)  # the successor of node i at i*k + a
+    out = m._o + n._o
+    if isinstance(m, MealyMachine):
+        out = [out[x:x + k] for x in range(0, len(out), k)]
+    block, count = _renumber(out)
     while True:
-        refined, refined_count = _renumber(
-            (block[i],) + tuple(map(block.__getitem__, succ))
-            for i, succ in enumerate(successors)
-        )
+        moved = list(map(block.__getitem__, succ))
+        refined, refined_count = _renumber(zip(block, *(moved[a::k] for a in range(k))))
         if refined_count == count:
             break
         block, count = refined, refined_count
-    return block[number[(0, p.start)]] == block[number[(1, q.start)]]
+    return block[p._i] == block[shift + q._i]
 
 
 def check_extension_square(m: MooreMachine, maxlen: int) -> bool:
@@ -158,10 +134,8 @@ def check_extension_square(m: MooreMachine, maxlen: int) -> bool:
 
     if maxlen < 1:
         raise MachineError("maxlen must be ≥ 1")
-    d1 = apply_D1(m)
-    return all(
-        m.out[m.delta[(e, a)]] == d1.out[(e, a)] for e in m.states for a in m.input.symbols
-    )
+    o = m._o
+    return all(o[t] == b for t, b in zip(m._d, apply_D1(m)._o))
 
 
 def words_up_to(alphabet, maxlen: int, include_empty: bool = True):

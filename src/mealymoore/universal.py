@@ -19,13 +19,13 @@ from .compose import ltimes
 from .core import (
     Alphabet,
     Letter,
-    LetterOutOfAlphabet,
     Machine,
     MachineError,
     MealyMachine,
     MooreMachine,
     State,
-    _j_out,
+    UnknownSymbol,
+    _letter_indices,
 )
 
 
@@ -79,24 +79,29 @@ def pinfty_carrier_check(x: Alphabet, depth: int) -> int:
 def embed_j(m: MooreMachine) -> MealyMachine:
     """D₀: view a Moore machine as a Mealy machine whose output ignores
     the current letter."""
-    return MealyMachine._trusted(m.input, m.output, m.states, m.delta, _j_out(m))
+    o = tuple([b for b in m._o for _ in m.input.symbols])
+    return MealyMachine._trusted(m.input, m.output, _d=m._d, _o=o, **m._names())
 
 
 def apply_D1(m: MooreMachine) -> MealyMachine:
     """D₁: same states and dynamics, but the output anticipates one step,
     out'(e, a) = out(delta(e, a))."""
-    out = {(e, a): m.out[m.delta[(e, a)]] for e in m.states for a in m.input.symbols}
-    return MealyMachine._trusted(m.input, m.output, m.states, m.delta, out)
+    o = tuple(map(m._o.__getitem__, m._d))
+    return MealyMachine._trusted(m.input, m.output, _d=m._d, _o=o, **m._names())
 
 
 def d_iter(m: Machine, e: State, word: Iterable[Letter]) -> State:
     """The left-to-right fold of the dynamics over a word; the empty
     word is the identity on states."""
-    for a in word:
-        if a not in m.input:
-            raise LetterOutOfAlphabet("letter %r is not in the input alphabet" % (a,))
-        e = m.delta[(e, a)]
-    return e
+    letters = _letter_indices(m, word)
+    if not letters:
+        return e
+    i, k, d = m._index(e), len(m.input.symbols), m._d
+    if i is None:
+        raise UnknownSymbol("state %r is not declared" % (e,))
+    for a in letters:
+        i = d[i * k + a]
+    return m.states[i]
 
 
 def moorify(m: MealyMachine) -> MooreMachine:
@@ -115,11 +120,8 @@ def decapitate(m: MealyMachine) -> MooreMachine:
 def is_soft(m: MooreMachine) -> bool:
     """True iff the output map is invariant under one transition step:
     out(delta(e, a)) = out(e) for all e, a."""
-    return all(
-        m.out[m.delta[(e, a)]] == m.out[e]
-        for e in m.states
-        for a in m.input.symbols
-    )
+    k, d, o = len(m.input.symbols), m._d, m._o
+    return all(o[t] == o[x // k] for x, t in enumerate(d))
 
 
 def is_n_soft(m: MooreMachine, n: int) -> bool:
@@ -133,12 +135,13 @@ def is_n_soft(m: MooreMachine, n: int) -> bool:
     """
     if n < 1:
         raise MachineError("n must be ≥ 1")
-    for e in m.states:
-        want = m.out[e]
+    k, d, o = len(m.input.symbols), m._d, m._o
+    letters = range(k)
+    for e, want in enumerate(o):
         layer = {e}
         for _ in range(n):
-            layer = {m.delta[(x, a)] for x in layer for a in m.input.symbols}
-        if any(m.out[x] != want for x in layer):
+            layer = {d[x * k + a] for x in layer for a in letters}
+        if {o[x] for x in layer} != {want}:
             return False
     return True
 

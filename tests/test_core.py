@@ -163,6 +163,45 @@ class TestTablesAreCopied:
         assert run(PointedMachine(m, "q0"), ("0", "1")) == "1"
 
 
+def _read_only_cases():
+    """(machine, machines that may share its tables) for each way a
+    machine is built."""
+    a = BITS
+    par, cpar = make_par(), make_cpar()
+    enumerated = list(all_mealy(a, a, 1))
+    randoms = [random_moore(random.Random(3), a, a, 2) for _ in range(2)]
+    u = universal_u(a)
+    return {
+        "validated": (par, [make_par()]),
+        "all_mealy": (enumerated[0], enumerated[1:]),
+        "random_moore": (randoms[0], randoms[1:]),
+        "composite": (compose_cells(par, cpar), [par, cpar]),
+        "embed_j": (embed_j(cpar), [cpar, apply_D1(cpar)]),
+        "apply_D1": (apply_D1(cpar), [cpar, embed_j(cpar)]),
+        "universal_u": (u, [moorify(par), universal_u(Alphabet("renamed", a.symbols))]),
+    }
+
+
+class TestReadOnlyTables:
+    """delta and out are read-only on every machine, so a write can
+    neither make the named tables disagree with the index form the
+    kernels read nor reach a machine that shares a table."""
+
+    @pytest.mark.parametrize("case", sorted(_read_only_cases()))
+    def test_assignment_raises(self, case):
+        m, sharers = _read_only_cases()[case]
+        machines = [m] + sharers
+        before = [(dict(x.delta), dict(x.out), x == rebuilt(x)) for x in machines]
+        key, cell = next(iter(m.delta)), next(iter(m.out))
+        for table, k, value in ((m.delta, key, m.states[-1]), (m.out, cell, m.output.symbols[-1])):
+            with pytest.raises(TypeError):
+                table[k] = value
+            with pytest.raises(TypeError):
+                del table[k]
+        assert [(dict(x.delta), dict(x.out), x == rebuilt(x)) for x in machines] == before
+        assert all(same for _, _, same in before)
+
+
 class TestIdentityCell:
     def test_echoes_each_letter(self, bits):
         cell = identity_cell(bits)
@@ -222,8 +261,11 @@ def rebuilt(m):
 
 
 def assert_as_if_checked(m):
-    assert type(m.states) is tuple and type(m.delta) is dict and type(m.out) is dict
-    assert m == rebuilt(m)
+    assert type(m.states) is tuple
+    checked = rebuilt(m)
+    assert type(m.delta) is type(checked.delta) and type(m.out) is type(checked.out)
+    assert m == checked
+    assert (m.states, m.delta, m.out) == (checked.states, checked.delta, checked.out)
 
 
 class TestTrustedConstruction:

@@ -9,20 +9,40 @@ from mealymoore import (
     MealyMachine,
     MooreMachine,
     PointedMachine,
+    StateMap,
+    apply_D1,
+    bisimilar,
     compose_cells,
     compose_maps,
     compose_mealy,
     embed_j,
+    enumerate_homs,
     is_homomorphism,
     is_n_soft,
     is_soft,
     ltimes,
+    machine_from_raw,
+    parse_machine_text,
+    render_state,
     rtimes,
     check_pentagon,
+    run,
+    serialize_machine,
     trace,
 )
+from mealymoore.semantics import words_up_to
 
-from oracles import letter_independent
+from oracles import (
+    bisimilar_words,
+    cascade,
+    fold_run,
+    fold_trace,
+    homs,
+    letter_independent,
+    n_soft,
+    table_hom,
+    tables,
+)
 
 
 def alphabets(max_size=3):
@@ -175,3 +195,159 @@ def test_compose_cells_kind_table(data):
     assert isinstance(compose_cells(moore_out, mealy_in), MooreMachine)
     assert isinstance(compose_cells(mealy_out, moore_in), MooreMachine)
     assert isinstance(compose_cells(moore_out, moore_in), MooreMachine)
+
+
+# ------------------------------------------------ index kernels vs oracles
+#
+# The kernels read the index form; the oracles in ``oracles.py`` read the
+# named tables.  Machines are drawn with string, tuple and composite state
+# names and with output alphabets whose symbols are not in sorted order,
+# so a kernel that mixed up names and indices would disagree.
+
+ORACLE = settings(max_examples=50, deadline=None)
+
+
+@st.composite
+def unsorted_alphabets(draw, max_size=3):
+    k = draw(st.integers(1, max_size))
+    return Alphabet("U%d" % k, tuple(draw(st.permutations("zbmq"))[:k]))
+
+
+def _names(style, n):
+    if style == "str":
+        return tuple("e%d" % i for i in range(n))
+    return tuple(("t", i, ("n", i % 2)) for i in range(n))
+
+
+@st.composite
+def plain_cells(draw, inp, outp, moore, max_states, styles=("str", "tuple")):
+    n = draw(st.integers(1, max_states))
+    states = _names(draw(st.sampled_from(styles)), n)
+    keys = [(e, a) for e in states for a in inp.symbols]
+    delta = dict(zip(keys, draw(st.lists(
+        st.sampled_from(states), min_size=len(keys), max_size=len(keys)))))
+    cells = states if moore else keys
+    out = dict(zip(cells, draw(st.lists(
+        st.sampled_from(outp.symbols), min_size=len(cells), max_size=len(cells)))))
+    # Tables listed in another order than the states and letters.
+    delta = {x: delta[x] for x in draw(st.permutations(keys))}
+    out = {x: out[x] for x in draw(st.permutations(cells))}
+    return (MooreMachine if moore else MealyMachine)(inp, outp, states, delta, out)
+
+
+@st.composite
+def cells(draw, inp, outp, moore=None, max_states=3):
+    """A machine of the given kind (any kind if None): a plain one, or a
+    composite of two plain factors of at most two states each."""
+    if moore is None:
+        moore = draw(st.booleans())
+    if not draw(st.booleans()):
+        return draw(plain_cells(inp, outp, moore, max_states))
+    mid = draw(unsorted_alphabets())
+    kinds = draw(st.sampled_from([(True, True), (True, False), (False, True)])
+                 if moore else st.just((False, False)))
+    first = draw(plain_cells(inp, mid, kinds[0], 2))
+    second = draw(plain_cells(mid, outp, kinds[1], 2))
+    return compose_cells(second, first)
+
+
+@st.composite
+def endpoints(draw, max_size=3):
+    return draw(unsorted_alphabets(max_size)), draw(unsorted_alphabets(max_size))
+
+
+@ORACLE
+@given(st.data())
+def test_compose_cells_matches_cascade(data):
+    a, b = data.draw(endpoints())
+    mid = data.draw(unsorted_alphabets())
+    first, second = data.draw(cells(a, mid)), data.draw(cells(mid, b))
+    assert tables(compose_cells(second, first)) == cascade(second, first)
+
+
+@ORACLE
+@given(st.data())
+def test_enumerate_homs_matches_brute_force(data):
+    a, b = data.draw(endpoints(2))
+    moore = data.draw(st.booleans())
+    m1 = data.draw(cells(a, b, moore))
+    m2 = data.draw(st.one_of(st.just(m1), cells(a, b, moore)))
+    assert enumerate_homs(m1, m2).maps() == homs(m1, m2)
+
+
+@ORACLE
+@given(st.data())
+def test_is_homomorphism_matches_table_check(data):
+    a, b = data.draw(endpoints(2))
+    moore = data.draw(st.booleans())
+    m1, m2 = data.draw(cells(a, b, moore)), data.draw(cells(a, b, moore))
+    images = data.draw(st.lists(st.sampled_from(m2.states),
+                                min_size=len(m1.states), max_size=len(m1.states)))
+    maps = [dict(zip(m1.states, images))] + homs(m1, m2)
+    for mapping in maps:
+        assert is_homomorphism(StateMap(m1, m2, mapping)) == table_hom(m1, m2, mapping)
+
+
+@ORACLE
+@given(st.data())
+def test_trace_and_run_match_folds(data):
+    a, b = data.draw(endpoints())
+    m = data.draw(cells(a, b))
+    for start in m.states:
+        for word in words_up_to(a, 3):
+            assert trace(PointedMachine(m, start), word) == fold_trace(m, start, word)
+            if word or isinstance(m, MooreMachine):
+                assert run(PointedMachine(m, start), word) == fold_run(m, start, word)
+
+
+@ORACLE
+@given(st.data())
+def test_bisimilar_matches_word_exhaustion(data):
+    a, b = data.draw(endpoints(2))
+    moore = data.draw(st.booleans())
+    m = data.draw(cells(a, b, moore, max_states=2))
+    n = data.draw(st.one_of(st.just(m), cells(a, b, moore, max_states=2)))
+    s, t = data.draw(st.sampled_from(m.states)), data.draw(st.sampled_from(n.states))
+    assert bisimilar(PointedMachine(m, s), PointedMachine(n, t)) == bisimilar_words(m, s, n, t)
+
+
+@ORACLE
+@given(st.data(), st.integers(1, 4))
+def test_is_n_soft_matches_word_exhaustion(data, n):
+    a, b = data.draw(endpoints(2))
+    m = data.draw(cells(a, b, moore=True))
+    assert is_n_soft(m, n) == n_soft(m, n)
+
+
+@ORACLE
+@given(st.data())
+def test_named_view_is_what_the_constructor_builds(data):
+    a, b = data.draw(endpoints())
+    mid = data.draw(unsorted_alphabets())
+    first, second = data.draw(cells(a, mid)), data.draw(cells(mid, b))
+    moore = data.draw(cells(a, b, moore=True))
+    for m in (compose_cells(second, first), embed_j(moore), apply_D1(moore)):
+        checked = type(m)(m.input, m.output, m.states, m.delta, m.out)
+        assert checked == m
+        assert (checked.states, checked.delta, checked.out) == (m.states, m.delta, m.out)
+
+
+@ORACLE
+@given(st.data())
+def test_composite_file_round_trip(data):
+    a, b = data.draw(endpoints())
+    mid = data.draw(unsorted_alphabets())
+    first = data.draw(plain_cells(a, mid, data.draw(st.booleans()), 3, ["str"]))
+    second = data.draw(plain_cells(mid, b, data.draw(st.booleans()), 3, ["str"]))
+    m = compose_cells(second, first)
+    text = serialize_machine(m)
+    loaded = machine_from_raw(parse_machine_text(text))
+    name = {e: render_state(e) for e in m.states}
+    renamed = type(m)(
+        m.input, m.output, tuple(name.values()),
+        {(name[e], a): name[t] for (e, a), t in m.delta.items()},
+        {(name[x[0]], x[1]) if isinstance(m, MealyMachine) else name[x]: y
+         for x, y in m.out.items()},
+    )
+    assert loaded == renamed
+    assert serialize_machine(loaded) == text

@@ -74,6 +74,22 @@ class TestRun:
         with pytest.raises(UnknownSymbol):
             PointedMachine(par, "nope")
 
+    def test_bad_letter_anywhere_in_the_word(self, par, cpar):
+        for m in (par, cpar, compose_cells(par, cpar)):
+            start = m.states[0]
+            for word in (("0", "1", "2"), ("0", ["1"]), "0x"):
+                with pytest.raises(LetterOutOfAlphabet):
+                    run(PointedMachine(m, start), word)
+                with pytest.raises(LetterOutOfAlphabet):
+                    trace(PointedMachine(m, start), word)
+
+    def test_composite_start_must_be_a_pair_of_states(self, par, cpar):
+        m = compose_cells(par, cpar)
+        for start in ("q0q1", ("q0",), ("q0", "q1", "q0"), ("q0", "nope"), ["q0", "q0"],
+                      (("q0",), "q0")):
+            with pytest.raises(UnknownSymbol):
+                PointedMachine(m, start)
+
     def test_agrees_with_fold_oracle(self, par, cpar):
         for m, start in [(par, "q0"), (par, "q1"), (cpar, "q0")]:
             for w in words_up_to(m.input, 4, include_empty=False):

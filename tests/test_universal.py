@@ -4,6 +4,7 @@ import pytest
 
 from mealymoore import (
     Alphabet,
+    LetterOutOfAlphabet,
     MachineError,
     PointedMachine,
     StateMap,
@@ -21,6 +22,7 @@ from mealymoore import (
     trace,
     universal_p,
     universal_u,
+    UnknownSymbol,
 )
 from mealymoore.generate import all_moore_up_to, random_mealy
 from mealymoore.semantics import words_up_to
@@ -128,6 +130,19 @@ class TestDIter:
     def test_agrees_with_fold_oracle(self, par):
         for w in words_up_to(par.input, 5):
             assert d_iter(par, "q1", w) == fold_state(par, "q1", w)
+
+    def test_composite_states(self, par):
+        m = moorify(par)
+        for w in words_up_to(par.input, 4):
+            assert d_iter(m, ("1", "q0"), w) == fold_state(m, ("1", "q0"), w)
+
+    def test_bad_letter_and_undeclared_state(self, par):
+        with pytest.raises(LetterOutOfAlphabet):
+            d_iter(par, "q0", ("1", "2"))
+        with pytest.raises(LetterOutOfAlphabet):
+            d_iter(par, "q0", (["1"],))
+        with pytest.raises(UnknownSymbol):
+            d_iter(par, "nope", ("1",))
 
 
 class TestMoorify:
