@@ -134,13 +134,14 @@ class NotAnIso(KindMismatch):
 def associator(h: Machine, g: Machine, f: Machine) -> StateBijection:
     """The re-bracketing bijection (h⋄g)⋄f ≅ h⋄(g⋄f).
 
-    Forward direction: ((eh,eg),ef) ↦ (eh,(eg,ef)).  Both bracketings
-    number that state (eh·|g| + eg)·|f| + ef, so on the index form both
-    directions are the identity, and being inverse homomorphisms is
-    definitional: the bijection is built without the check.
+    Forward direction: ((eh,eg),ef) ↦ (eh,(eg,ef)).  ``compose_cells`` is
+    associative on the index form, (eh·|g| + eg)·|f| + ef = eh·|g⋄f| +
+    (eg·|f| + ef), so h⋄(g⋄f) shares the tables of (h⋄g)⋄f with states named
+    by (h, g⋄f): both maps are the identity, inverse homomorphisms by definition.
     """
     left = compose_cells(compose_cells(h, g), f)
-    right = compose_cells(h, compose_cells(g, f))
+    right = type(left)._trusted(f.input, h.output, _d=left._d, _o=left._o, _n=left._n,
+                                _factors=(h, compose_cells(g, f)))
     same = tuple(range(left._n))
     return StateBijection._trusted(
         left, right, StateMap._trusted(left, right, same), StateMap._trusted(right, left, same)

@@ -307,10 +307,18 @@ def _letter_indices(m: Machine, word) -> list:
     word = tuple(word)
     code = {a: i for i, a in enumerate(m.input.symbols)}
     try:
-        return [code[a] for a in word]
+        return list(map(code.__getitem__, word))
     except (KeyError, TypeError):  # TypeError: an unhashable letter
         bad = next(a for a in word if a not in m.input.symbols)
         raise LetterOutOfAlphabet("letter %r is not in the input alphabet" % (bad,)) from None
+
+
+def _walk(m: Machine, i: int, letters) -> int:
+    """The index of the state reached from state index i on ``letters``."""
+    k, d = len(m.input.symbols), m._d
+    for a in letters:
+        i = d[i * k + a]
+    return i
 
 
 def identity_cell(a: Alphabet) -> MealyMachine:

@@ -27,6 +27,7 @@ from .core import (
     State,
     UnknownSymbol,
     _letter_indices,
+    _walk,
 )
 
 
@@ -46,36 +47,38 @@ class PointedMachine:
     __hash__ = None
 
 
-def _outputs(p: PointedMachine, word) -> list:
-    """The output indices emitted while consuming ``word``: one per
-    letter (Mealy), or one per visited state, the start first (Moore)."""
+def run(p: PointedMachine, word: Iterable[Letter]) -> Letter:
+    """The output after ``word`` from the start state: that of the state
+    reached (Moore, which also answers on the empty word) or of the last
+    (state, letter) cell (Mealy).  Only it is read: O(|w|) at any size."""
     m = p.machine
     letters = _letter_indices(m, word)
-    k, d, i = len(m.input.symbols), m._d, p._i
-    visited = [i]
-    for a in letters:
-        i = d[i * k + a]
-        visited.append(i)
-    if isinstance(m, MealyMachine):
-        visited = [x * k + a for x, a in zip(visited, letters)]
-    return list(map(m._o.__getitem__, visited))
-
-
-def run(p: PointedMachine, word: Iterable[Letter]) -> Letter:
-    """The output of the machine after consuming ``word`` from the start
-    state: the last emitted letter (Mealy) or the output of the state
-    reached (Moore, which also answers on the empty word)."""
-    emitted = _outputs(p, word)
-    if not emitted:
+    if isinstance(m, MooreMachine):
+        return m.output.symbols[m._o[_walk(m, p._i, letters)]]
+    if not letters:
         raise EmptyWordOnMealy("a Mealy machine has no output on the empty word")
-    return p.machine.output.symbols[emitted[-1]]
+    x = _walk(m, p._i, letters[:-1]) * len(m.input.symbols) + letters[-1]
+    return m.output.symbols[m._o[x]]
 
 
 def trace(p: PointedMachine, word: Iterable[Letter]) -> tuple[Letter, ...]:
-    """The word of outputs emitted while consuming ``word``: length |w|
-    for a Mealy machine, length |w|+1 for a Moore machine (the output of
-    every visited state, starting with the start state)."""
-    return tuple(map(p.machine.output.symbols.__getitem__, _outputs(p, word)))
+    """The outputs emitted on ``word``, in one pass through a per-call
+    symbol table: |w| of them for a Mealy machine, |w|+1 for a Moore
+    machine (the output of every visited state, the start first)."""
+    m, i = p.machine, p._i
+    k, d, emit = len(m.input.symbols), m._d, tuple(map(m.output.symbols.__getitem__, m._o))
+    if isinstance(m, MealyMachine):
+        out = []
+        for a in _letter_indices(m, word):
+            x = i * k + a
+            out.append(emit[x])
+            i = d[x]
+        return tuple(out)
+    out = [emit[i]]
+    for a in _letter_indices(m, word):
+        i = d[i * k + a]
+        out.append(emit[i])
+    return tuple(out)
 
 
 def _renumber(signatures):

@@ -26,6 +26,7 @@ from .core import (
     State,
     UnknownSymbol,
     _letter_indices,
+    _walk,
 )
 
 
@@ -96,12 +97,10 @@ def d_iter(m: Machine, e: State, word: Iterable[Letter]) -> State:
     letters = _letter_indices(m, word)
     if not letters:
         return e
-    i, k, d = m._index(e), len(m.input.symbols), m._d
+    i = m._index(e)
     if i is None:
         raise UnknownSymbol("state %r is not declared" % (e,))
-    for a in letters:
-        i = d[i * k + a]
-    return m.states[i]
+    return m.states[_walk(m, i, letters)]
 
 
 def moorify(m: MealyMachine) -> MooreMachine:

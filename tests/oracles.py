@@ -1,27 +1,37 @@
 """Independent oracles used to cross-check the library.
 
-Everything here recomputes results from first principles (explicit
-recursion, bounded word exhaustion, brute-force counts, pairwise table
-checks) rather than calling the code paths under test.  The one
-exception is ``pentagon_maps``, which composes the maps ``associator``
-returns, because those maps are what the pentagon is about.
+Everything here recomputes results from first principles (folds over
+the named tables, bounded word exhaustion, brute-force counts, pairwise
+table checks) rather than calling the code paths under test.  The
+exceptions are ``pentagon_maps`` and ``rebracketed``, which read the
+bijections ``associator`` returns, because those are what they are about.
 """
 
+import functools
 import itertools
 
-from mealymoore import MealyMachine, MooreMachine, associator, compose_cells
+from mealymoore import (
+    MealyMachine,
+    MooreMachine,
+    PointedMachine,
+    StateMap,
+    associator,
+    compose_cells,
+    is_homomorphism,
+    serialize_machine,
+    trace,
+)
 from mealymoore.semantics import words_up_to
 
 
 def fold_state(m, e, word):
-    """Recursive fold of the dynamics, written independently of d_iter."""
-    if not word:
-        return e
-    return fold_state(m, m.delta[(e, word[0])], word[1:])
+    """Fold of the dynamics over the named table, written independently
+    of d_iter and of the index form."""
+    return functools.reduce(lambda s, a: m.delta[(s, a)], word, e)
 
 
 def fold_run(m, start, word):
-    """Recursive word evaluation: last output letter."""
+    """Word evaluation from the named tables: last output letter."""
     if isinstance(m, MooreMachine):
         return m.out[fold_state(m, start, word)]
     assert word, "Mealy machines need a nonempty word"
@@ -29,12 +39,12 @@ def fold_run(m, start, word):
 
 
 def fold_trace(m, start, word):
-    """Trace rebuilt from per-prefix evaluation, not from a single pass."""
+    """Trace read from the named tables at the state each prefix reaches
+    (a Moore machine's start first), not from the index form."""
+    reached = list(itertools.accumulate(word, lambda s, a: m.delta[(s, a)], initial=start))
     if isinstance(m, MooreMachine):
-        prefixes = [word[:i] for i in range(len(word) + 1)]
-    else:
-        prefixes = [word[: i + 1] for i in range(len(word))]
-    return tuple(fold_run(m, start, p) for p in prefixes)
+        return tuple(m.out[s] for s in reached)
+    return tuple(m.out[(s, a)] for s, a in zip(reached, word))
 
 
 def n_soft(m, n):
@@ -151,6 +161,13 @@ def cascade(second, first):
     return MooreMachine, states, delta, out
 
 
+def cascade_machine(second, first):
+    """The composite second⋄first built from the tables of ``cascade``
+    by the public, validating constructor."""
+    kind, states, delta, out = cascade(second, first)
+    return kind(first.input, second.output, states, delta, out)
+
+
 def tables(m):
     """(kind, states, delta, out) of a machine, comparable with cascade()."""
     return type(m), m.states, m.delta, m.out
@@ -197,3 +214,26 @@ def pentagon_maps(k, h, g, f):
     last = _whisker_left(k, low_last.forward.map)
     path_two = {s: last[low_mid.forward.map[first[s]]] for s in top.source.states}
     return path_one == path_two
+
+
+def rebracketed(bij, h, g, f):
+    """Is the target of ``associator(h, g, f)`` the composite h⋄(g⋄f)?
+
+    Its kind, states and named tables must equal ``cascade`` of h and the
+    machine built from ``cascade(g, f)``.  Against h⋄(g⋄f) composed
+    afresh, the forward map, through the public ``StateMap``, must be a
+    homomorphism, and the target must serialize to the same text and
+    trace alike from every state.  The two bracketings share their
+    tables, so this, not ``is_homomorphism(bij.forward)``, tests the
+    shared numbering."""
+    target = bij.target
+    if tables(target) != cascade(h, cascade_machine(g, f)):
+        return False
+    fresh = compose_cells(h, compose_cells(g, f))
+    if not is_homomorphism(StateMap(bij.source, fresh, bij.forward.map)):
+        return False
+    word = target.input.symbols * 2
+    return serialize_machine(target) == serialize_machine(fresh) and all(
+        trace(PointedMachine(target, s), word) == trace(PointedMachine(fresh, s), word)
+        for s in fresh.states
+    )

@@ -29,7 +29,7 @@ from mealymoore import (
 )
 from mealymoore.generate import random_cell, random_mealy, random_moore
 
-from oracles import cascade, fold_trace, letter_independent, tables
+from oracles import cascade, fold_trace, letter_independent, rebracketed, tables
 
 
 class TestComposeMealy:
@@ -103,11 +103,15 @@ class TestMixedComposition:
 
 
 class TestAssociator:
+    # The two bracketings share their tables, so is_homomorphism on the
+    # returned maps compares a table with itself; ``rebracketed`` checks
+    # the target against an independently built h⋄(g⋄f).
     def test_singletons(self):
         one = Alphabet("one", ("a",))
         m = MooreMachine(one, one, ("s",), {("s", "a"): "s"}, {"s": "a"})
         bij = associator(m, m, m)
         assert len(bij.source.states) == 1
+        assert rebracketed(bij, m, m, m)
 
     def test_sizes_multiply(self):
         rng = random.Random(7)
@@ -118,16 +122,19 @@ class TestAssociator:
         bij = associator(h, g, f)
         assert len(bij.forward.map) == 30
         assert is_homomorphism(bij.forward)
+        assert rebracketed(bij, h, g, f)
 
     def test_par_triple_is_iso(self, par):
         bij = associator(par, par, par)
         assert is_homomorphism(bij.forward)
         assert is_homomorphism(bij.backward)
+        assert rebracketed(bij, par, par, par)
 
     def test_mixed_kinds(self, par, cpar, u2):
         bij = associator(u2, par, embed_j(cpar))
         assert is_homomorphism(bij.forward)
         assert is_homomorphism(bij.backward)
+        assert rebracketed(bij, u2, par, embed_j(cpar))
 
 
 class TestPentagon:

@@ -1,11 +1,16 @@
 """Randomized invariants over machine space, driven by hypothesis."""
 
+import itertools
+import random
 import string
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mealymoore import (
     Alphabet,
+    EmptyWordOnMealy,
+    LetterOutOfAlphabet,
     MealyMachine,
     MooreMachine,
     PointedMachine,
@@ -15,6 +20,7 @@ from mealymoore import (
     compose_cells,
     compose_maps,
     compose_mealy,
+    d_iter,
     embed_j,
     enumerate_homs,
     is_homomorphism,
@@ -35,7 +41,9 @@ from mealymoore.semantics import words_up_to
 from oracles import (
     bisimilar_words,
     cascade,
+    cascade_machine,
     fold_run,
+    fold_state,
     fold_trace,
     homs,
     letter_independent,
@@ -298,6 +306,53 @@ def test_trace_and_run_match_folds(data):
             assert trace(PointedMachine(m, start), word) == fold_trace(m, start, word)
             if word or isinstance(m, MooreMachine):
                 assert run(PointedMachine(m, start), word) == fold_run(m, start, word)
+
+
+@st.composite
+def word_alphabets(draw):
+    """Alphabets of multi-character letters, not in sorted order."""
+    k = draw(st.integers(1, 3))
+    return Alphabet("W%d" % k, tuple(draw(st.permutations(("zz", "b1", "mq", "a")))[:k]))
+
+
+@st.composite
+def long_words(draw, alphabet):
+    """A word of 1,000-3,000 letters, drawn from a seeded generator: one
+    drawn list of that length would overrun hypothesis's buffer."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return tuple(rng.choices(alphabet.symbols, k=draw(st.integers(1000, 3000))))
+
+
+@pytest.mark.parametrize("second_moore, first_moore",
+                         list(itertools.product((False, True), repeat=2)))
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_long_words_match_folds(second_moore, first_moore, data):
+    # The oracle is the composite built from ``cascade`` by the public
+    # constructor, so neither its tables nor the walk share code with
+    # compose_cells, run, trace or d_iter.
+    a, mid, b = (data.draw(word_alphabets()) for _ in range(3))
+    first = data.draw(plain_cells(a, mid, first_moore, 4))
+    second = data.draw(plain_cells(mid, b, second_moore, 4))
+    m, oracle = compose_cells(second, first), cascade_machine(second, first)
+    start, word = data.draw(st.sampled_from(m.states)), data.draw(long_words(a))
+    p = PointedMachine(m, start)
+    assert trace(p, word) == fold_trace(oracle, start, word)
+    assert run(p, word) == fold_run(oracle, start, word)
+    assert d_iter(m, start, word) == fold_state(oracle, start, word)
+    for bad in ("a?", ["zz"]):  # an undeclared letter, an unhashable one
+        for walk in (run, trace):
+            with pytest.raises(LetterOutOfAlphabet):
+                walk(p, word[:-1] + (bad,))
+        with pytest.raises(LetterOutOfAlphabet):
+            d_iter(m, start, word[:-1] + (bad,))
+    if isinstance(m, MealyMachine):
+        with pytest.raises(EmptyWordOnMealy):
+            run(p, ())
+    else:
+        assert run(p, ()) == fold_run(oracle, start, ())
+    assert trace(p, ()) == fold_trace(oracle, start, ())
+    assert d_iter(m, start, ()) == start
 
 
 @ORACLE
