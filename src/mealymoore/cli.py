@@ -338,10 +338,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except MachineError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (MachineError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

@@ -107,13 +107,15 @@ class StateBijection:
     backward: StateMap
 
     def __post_init__(self):
-        for e in self.source.states:
-            if self.backward.map[self.forward.map[e]] != e:
-                raise NotAnIso("backward∘forward is not the identity at %r" % (e,))
-        for f in self.target.states:
-            if self.forward.map[self.backward.map[f]] != f:
-                raise NotAnIso("forward∘backward is not the identity at %r" % (f,))
-        if not is_homomorphism(self.forward) or not is_homomorphism(self.backward):
+        fwd, bwd = self.forward, self.backward
+        if (fwd.source, fwd.target, bwd.source, bwd.target) != (
+                self.source, self.target, self.target, self.source):
+            raise EndpointMismatch("forward must map source to target, and backward back")
+        for there, back, way in ((fwd, bwd, "backward∘forward"), (bwd, fwd, "forward∘backward")):
+            for i, j in enumerate(there._img):
+                if back._img[j] != i:
+                    raise NotAnIso("%s is not the identity at %r" % (way, there.source.states[i]))
+        if not is_homomorphism(fwd) or not is_homomorphism(bwd):
             raise NotAnIso("both directions must be homomorphisms")
 
     @classmethod

@@ -9,13 +9,14 @@ predicate checks equivariance and output preservation.
 Every machine also has an index form, which is what the kernels read:
 states 0..n−1 and input letters 0..k−1 in declaration order, ``_d`` the
 flat tuple of target indices at ``i*k + a``, and ``_o`` the flat tuple of
-output-symbol indices, at ``i*k + a`` (Mealy) or at ``i`` (Moore).  A
-machine built from named tables (by the caller, from a file, or by the
-random generators) gets its index form on the first kernel call; one the
-library builds in index form (composites, enumerated machines, D₀ and D₁
-images) builds its named tables on first access.  Either form is built
-once and kept.  The named ``delta`` and ``out`` are read-only mappings,
-so the two forms cannot drift apart.
+output-symbol indices, at ``i*k + a`` (Mealy) or at ``i`` (Moore).  The
+public constructor, and so every machine file, checks the named tables
+in the walk that builds the index form.  The library builds its own
+machines (composites, enumerated machines, D₀ and D₁ images) in index
+form, and their named tables on first access; only random machines are
+built named-first, with the index form on the first kernel call (see
+``generate``).  Either form is built once and kept.  The named ``delta``
+and ``out`` are read-only mappings, so the two forms cannot drift apart.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -108,41 +109,40 @@ class Alphabet:
 ENUMERATION_GUARD = 10**7
 
 
-def _check_table(what, table, expected, allowed, bad_value):
-    """A table must have exactly the expected keys, and every value must
-    lie in ``allowed``.  A bad value is rendered by ``reprlib``, so a
-    huge or deeply nested one still gives a short message."""
+def _index_table(what, table, keys, code, bad_value):
+    """The tuple of code[table[k]] for k in keys, in one lookup walk that
+    checks that the table has exactly these keys and that every value is
+    a key of ``code``.  Only a failing table is walked again, to name the
+    bad key or value; ``reprlib`` keeps a huge or nested value short."""
+    if len(table) == len(keys):
+        try:
+            return tuple(map(code.__getitem__, map(table.__getitem__, keys)))
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            pass
+    expected = set(keys)
     if table.keys() != expected:
-        extra = table.keys() - expected
+        extra = [k for k in table if k not in expected]
         if extra:
-            raise UnknownSymbol("%s entry for undeclared %r" % (what, next(iter(extra))))
-        raise MissingEntry("%s lacks entry for %r" % (what, next(iter(expected - table.keys()))))
-    try:
-        for value in table.values():
-            if value not in allowed:
-                raise UnknownSymbol(bad_value % reprlib.repr(value))
-    except TypeError:  # an unhashable value, such as a JSON list in a machine file
-        raise UnknownSymbol(bad_value % reprlib.repr(value)) from None
-
-
-def _indexed(table, keys, code):
-    """The tuple of code[table[x]] for x in keys.  A table that lists
-    exactly these keys in this order, as tables read from a file or
-    generated usually do, is read in place."""
-    values = table.values() if list(table) == keys else map(table.__getitem__, keys)
-    return tuple(map(code.__getitem__, values))
+            raise UnknownSymbol("%s entry for undeclared %r" % (what, extra[0]))
+        missing = next(k for k in keys if k not in table)
+        raise MissingEntry("%s lacks entry for %r" % (what, missing))
+    for value in table.values():
+        try:
+            code[value]
+        except (KeyError, TypeError):  # TypeError: such as a JSON list in a machine file
+            raise UnknownSymbol(bad_value % reprlib.repr(value)) from None
 
 
 @dataclass(frozen=True)
 class _Machine:
     """The fields and table check of both kinds.
 
-    The tables are copied into read-only mappings, so neither the caller's
-    dicts nor writes through ``delta`` or ``out`` can change a validated
-    machine.  The same holds for machines the library builds, whose
-    named tables are built on first access: assigning into ``delta`` or
-    ``out`` raises TypeError on every machine, so the named tables and
-    the cached index form always agree, and no machine sharing a table
+    The public constructor checks the named tables in the walk that
+    builds the index form, so a machine leaves it with both, and keeps
+    read-only copies of them: neither the caller's dicts nor writes
+    through ``delta`` or ``out`` can change a validated machine.  The
+    named tables of machines the library builds are read-only too, so on
+    every machine the two forms agree, and no machine sharing a table
     with another can be changed through it."""
 
     input: Alphabet
@@ -153,48 +153,52 @@ class _Machine:
 
     def __post_init__(self):
         states = tuple(self.states)
-        try:
-            stateset = set(states)
-        except TypeError as err:  # such as a JSON list in a machine file
-            raise UnknownSymbol("state names must be hashable (%s)" % err) from None
         if not states:
             raise MachineError("a machine needs at least one state")
-        if len(stateset) != len(states):
+        try:
+            pos = {e: i for i, e in enumerate(states)}
+        except TypeError as err:  # such as a JSON list in a machine file
+            raise UnknownSymbol("state names must be hashable (%s)" % err) from None
+        if len(pos) != len(states):
             raise DuplicateName("repeated state names")
         delta, out = dict(self.delta), dict(self.out)
-        cells = {(e, a) for e in states for a in self.input.symbols}
-        _check_table("delta", delta, cells, stateset, "delta target %s is not a declared state")
-        _check_table("out", out, cells if self._out_by_letter else stateset,
-                     self.output.symbols, "output letter %s is not in the output alphabet")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "delta", MappingProxyType(delta))
-        object.__setattr__(self, "out", MappingProxyType(out))
+        self.__dict__.update(states=states, _pos=pos, delta=MappingProxyType(delta),
+                             out=MappingProxyType(out))
+        self._index_tables(delta, out)
+
+    def _index_tables(self, delta, out):
+        """Check delta and out against the states and alphabets; keep the index form."""
+        states = self.states
+        keys = list(itertools.product(states, self.input.symbols))
+        code = {b: j for j, b in enumerate(self.output.symbols)}
+        self.__dict__.update(
+            _d=_index_table("delta", delta, keys, self._pos,
+                            "delta target %s is not a declared state"),
+            _o=_index_table("out", out, keys if self._out_by_letter else states, code,
+                            "output letter %s is not in the output alphabet"),
+            _n=len(states),
+        )
 
     @classmethod
     def _trusted(cls, input, output, **tables):
         """A machine from tables the library built total and well-typed
-        itself: no check, no copy.  ``tables`` are the named ``states``,
-        ``delta`` and ``out``, read-only, or the index form ``_d``, ``_o``
-        and ``_n`` (the state count) with the state names: ``states``, a
-        tuple, or ``_factors``, the pair (second, first) of a composite,
-        whose state (f, e) has index f·|first| + e."""
+        itself: no check, no copy.  ``tables`` are the index form ``_d``,
+        ``_o`` and ``_n`` (the state count) with the state names:
+        ``states``, a tuple, or ``_factors``, the pair (second, first) of
+        a composite, whose state (f, e) has index f·|first| + e.  Only the
+        random generators pass the named ``states``, ``delta`` and
+        ``out``, read-only, instead (see ``generate``)."""
         m = object.__new__(cls)
         m.__dict__.update(tables, input=input, output=output)
         return m
 
     def __getattr__(self, name):
         """Build, on first use, what the machine was not made with, and
-        keep it: the index form of a machine with named tables, the named
-        view of one built in index form."""
+        keep it: the index form of a random machine, the named view of
+        one built in index form."""
         have = self.__dict__
         if name in ("_d", "_o", "_n"):
-            states = self.states
-            keys = list(itertools.product(states, self.input.symbols))
-            pos = have.get("_pos") or {e: i for i, e in enumerate(states)}
-            code = {b: j for j, b in enumerate(self.output.symbols)}
-            have["_d"] = _indexed(self.delta, keys, pos)
-            have["_o"] = _indexed(self.out, keys if self._out_by_letter else list(states), code)
-            have["_n"] = len(states)
+            self._index_tables(self.delta, self.out)
         elif name in ("delta", "out"):
             states = self.states
             keys = list(itertools.product(states, self.input.symbols))
@@ -333,7 +337,10 @@ def identity_cell(a: Alphabet) -> MealyMachine:
 class StateMap:
     """A candidate 2-cell: a total function between the state sets of
     two machines of the same kind with common endpoints.  ``map`` is a
-    read-only copy of the mapping given."""
+    read-only copy of the mapping given; the check that it is total and
+    lands in the target's states builds, in the same pass, ``_img``: the
+    tuple of target-state indices, one per source-state index, which is
+    what the kernels read."""
 
     source: Machine
     target: Machine
@@ -345,17 +352,18 @@ class StateMap:
         if (self.source.input.symbols != self.target.input.symbols
                 or self.source.output.symbols != self.target.output.symbols):
             raise EndpointMismatch("state maps require common input and output alphabets")
-        missing = set(self.source.states) - set(self.map)
-        if missing:
-            raise MissingEntry("map lacks entry for state %r" % (next(iter(missing)),))
-        extra = set(self.map) - set(self.source.states)
-        if extra:
-            raise UnknownSymbol("map entry for undeclared state %r" % (next(iter(extra)),))
-        targets = set(self.target.states)
-        for image in self.map.values():
-            if image not in targets:
-                raise UnknownSymbol("map image %r is not a target state" % (image,))
-        object.__setattr__(self, "map", MappingProxyType(dict(self.map)))
+        table, states, index = dict(self.map), self.source.states, self.target._index
+        try:  # index() swallows its own lookup errors, so a KeyError is a missing entry
+            img = tuple([index(table[e]) for e in states])
+        except KeyError as err:
+            raise MissingEntry("map lacks entry for state %r" % (err.args[0],)) from None
+        if len(table) != len(states):
+            extra = next(e for e in table if self.source._index(e) is None)
+            raise UnknownSymbol("map entry for undeclared state %r" % (extra,))
+        if None in img:
+            image = table[states[img.index(None)]]
+            raise UnknownSymbol("map image %r is not a target state" % (image,))
+        self.__dict__.update(map=MappingProxyType(table), _img=img)
 
     @classmethod
     def _trusted(cls, source, target, img):
@@ -368,16 +376,11 @@ class StateMap:
         return phi
 
     def __getattr__(self, name):
-        """Build, on first use, the index images or the named map."""
-        if name == "_img":
-            index = self.target._index
-            value = tuple(index(self.map[e]) for e in self.source.states)
-        elif name == "map":
-            images = map(self.target.states.__getitem__, self._img)
-            value = MappingProxyType(dict(zip(self.source.states, images)))
-        else:
+        """Build, on first use, the named map of a map built in index form."""
+        if name != "map":
             raise AttributeError(name)
-        self.__dict__[name] = value
+        images = map(self.target.states.__getitem__, self._img)
+        value = self.__dict__["map"] = MappingProxyType(dict(zip(self.source.states, images)))
         return value
 
     __hash__ = None
@@ -399,11 +402,11 @@ def is_homomorphism(phi: StateMap) -> bool:
 
 
 def identity_map(m: Machine) -> StateMap:
-    return StateMap(m, m, {e: e for e in m.states})
+    return StateMap._trusted(m, m, tuple(range(m._n)))
 
 
 def compose_maps(psi: StateMap, phi: StateMap) -> StateMap:
     """Vertical composition psi∘phi of state maps."""
     if phi.target is not psi.source and phi.target != psi.source:
         raise EndpointMismatch("maps are not composable")
-    return StateMap(phi.source, psi.target, {e: psi.map[phi.map[e]] for e in phi.source.states})
+    return StateMap._trusted(phi.source, psi.target, tuple(map(psi._img.__getitem__, phi._img)))

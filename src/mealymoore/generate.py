@@ -4,8 +4,10 @@ Enumeration order is lexicographic over the table entries with states
 and letters in declaration order, so sweeps and reports are diffable.
 The tables built here are total by construction, so the machines skip
 the table check.  Enumerated machines are built in index form (see
-``core``) and share their index tuples; random ones are built with
-read-only named tables, as from a machine file.
+``core``) and share their index tuples.  Random machines are the one
+kind built named-first, with read-only named tables and the index form
+on the first kernel call: callers that set up from their named tables
+(the benchmark does) would otherwise pay for the named view on top.
 """
 
 from __future__ import annotations

@@ -274,10 +274,8 @@ def search_moore_identity(
         else:
             failures.append(failed)
     warning = None
-    if survivors and not any(
-        len({m.out[(e, x)] for x in m.input.symbols}) > 1
-        for m in probes
-        for e in m.states
+    if survivors and not any(  # a cell whose output differs from that of its row's first cell
+        o != m._o[x - x % len(m.input.symbols)] for m in probes for x, o in enumerate(m._o)
     ):
         warning = (
             "all probes have letter-independent output rows; add a probe "

@@ -15,6 +15,7 @@ as ("a", "b,c") and ("a,b", "c"), are refused: the file would not load.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Union
 
@@ -103,17 +104,17 @@ def machine_to_raw(m: Machine) -> dict:
         if owner.setdefault(text, e) != e:
             raise DuplicateName("states %r and %r both render as %r" % (owner[text], e, text))
     states = list(name.values())
-    delta = {name[e]: {} for e in m.states}
-    for (e, a), target in m.delta.items():
-        delta[name[e]][a] = name[target]
+    cells = list(itertools.product(states, m.input.symbols))  # in index order
+    delta = {e: {} for e in states}
+    for (e, a), t in zip(cells, m._d):
+        delta[e][a] = states[t]
+    symbols = m.output.symbols
     if isinstance(m, MealyMachine):
-        kind = "mealy"
-        out = {name[e]: {} for e in m.states}
-        for (e, a), letter in m.out.items():
-            out[name[e]][a] = letter
+        kind, out = "mealy", {e: {} for e in states}
+        for (e, a), b in zip(cells, m._o):
+            out[e][a] = symbols[b]
     else:
-        kind = "moore"
-        out = {name[e]: letter for e, letter in m.out.items()}
+        kind, out = "moore", dict(zip(states, map(symbols.__getitem__, m._o)))
     return {
         "version": FORMAT_VERSION,
         "kind": kind,

@@ -107,12 +107,9 @@ def ucompose2(psi: UMap, phi: UMap) -> UMap:
         return UMap(source, target, psi.statemap)
     if psi.is_formal:
         return UMap(source, target, phi.statemap)
-    product = {
-        (f, e): (psi.statemap.map[f], phi.statemap.map[e])
-        for f in psi.source.states
-        for e in phi.source.states
-    }
-    return UMap(source, target, StateMap(source, target, product))
+    width = phi.target._n  # the target state (f, e) has index f·width + e
+    img = tuple(f * width + e for f in psi.statemap._img for e in phi.statemap._img)
+    return UMap(source, target, StateMap._trusted(source, target, img))
 
 
 def check_triangle(c2: UCell, c1: UCell) -> bool:

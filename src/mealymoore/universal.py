@@ -95,12 +95,10 @@ def d_iter(m: Machine, e: State, word: Iterable[Letter]) -> State:
     """The left-to-right fold of the dynamics over a word; the empty
     word is the identity on states."""
     letters = _letter_indices(m, word)
-    if not letters:
-        return e
     i = m._index(e)
     if i is None:
         raise UnknownSymbol("state %r is not declared" % (e,))
-    return m.states[_walk(m, i, letters)]
+    return m.states[_walk(m, i, letters)] if letters else e
 
 
 def moorify(m: MealyMachine) -> MooreMachine:

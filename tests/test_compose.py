@@ -11,6 +11,8 @@ from mealymoore import (
     MealyMachine,
     MooreMachine,
     PointedMachine,
+    StateBijection,
+    StateMap,
     associator,
     check_j_compatibilities,
     check_pentagon,
@@ -19,6 +21,7 @@ from mealymoore import (
     compose_moore,
     embed_j,
     identity_cell,
+    identity_map,
     is_homomorphism,
     ltimes,
     moorify,
@@ -27,6 +30,7 @@ from mealymoore import (
     universal_p,
     universal_u,
 )
+from mealymoore.compose import NotAnIso
 from mealymoore.generate import random_cell, random_mealy, random_moore
 
 from oracles import cascade, fold_trace, letter_independent, rebracketed, tables
@@ -135,6 +139,39 @@ class TestAssociator:
         assert is_homomorphism(bij.forward)
         assert is_homomorphism(bij.backward)
         assert rebracketed(bij, u2, par, embed_j(cpar))
+
+
+class TestStateBijection:
+    def test_associator_maps_rebuilt_publicly(self, u2):
+        iso = associator(u2, u2, u2)
+        forward = StateMap(iso.source, iso.target, dict(iso.forward.map))
+        backward = StateMap(iso.target, iso.source, dict(iso.backward.map))
+        bij = StateBijection(iso.source, iso.target, forward, backward)
+        assert (bij.forward._img, bij.backward._img) == (iso.forward._img, iso.backward._img)
+
+    def test_not_inverse(self, bits):
+        # Two indistinguishable fixed points: collapsing them is a
+        # homomorphism, so only the inverse check can refuse the pair.
+        twins = MooreMachine(bits, bits, ("s", "t"), {(e, a): e for e in "st" for a in "01"},
+                             {"s": "0", "t": "0"})
+        collapse = StateMap(twins, twins, {"s": "s", "t": "s"})
+        assert is_homomorphism(collapse)
+        for there, back in ((collapse, identity_map(twins)), (identity_map(twins), collapse)):
+            with pytest.raises(NotAnIso, match="not the identity"):
+                StateBijection(twins, twins, there, back)
+
+    def test_not_a_homomorphism(self, par):
+        # q0↔q1 is its own inverse but flips the output rows.
+        swap = StateMap(par, par, {"q0": "q1", "q1": "q0"})
+        with pytest.raises(NotAnIso):
+            StateBijection(par, par, swap, swap)
+
+    def test_endpoints_checked(self, u2, p2):
+        iso = associator(u2, u2, u2)
+        with pytest.raises(EndpointMismatch):
+            StateBijection(u2, u2, iso.forward, iso.backward)
+        with pytest.raises(EndpointMismatch):
+            StateBijection(u2, u2, identity_map(p2), identity_map(p2))
 
 
 class TestPentagon:

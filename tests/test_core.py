@@ -120,6 +120,23 @@ class TestValidateMealy:
         with pytest.raises(MissingEntry):
             validate_mealy(raw)
 
+    @pytest.mark.parametrize("table, rows, error", [
+        # Right size, so the walk's count check passes: the undeclared
+        # letter must still be named as such, not as the missing "1".
+        ("delta", {"q0": {"0": "q0", "2": "q1"}}, UnknownSymbol),
+        ("out", {"q0": {"0": "0", "2": "1"}}, UnknownSymbol),
+        ("delta", {"q9": {"0": "q0", "1": "q1"}}, UnknownSymbol),
+        ("out", {"q9": {"0": "0", "1": "1"}}, UnknownSymbol),
+        ("delta", {"q0": {"0": "q0"}}, MissingEntry),
+        ("delta", {"q0": {"0": ["q0"], "1": "q1"}}, UnknownSymbol),
+        ("out", {"q0": {"0": ["0"], "1": "1"}}, UnknownSymbol),
+    ], ids=["letter-in-place-of-letter", "out-letter-in-place-of-letter", "undeclared-row",
+            "out-undeclared-row", "short-row", "unhashable-target", "unhashable-output"])
+    def test_bad_table(self, table, rows, error):
+        raw = {**PAR_RAW, table: {**PAR_RAW[table], **rows}}
+        with pytest.raises(error):
+            validate_mealy(raw)
+
 
 class TestValidateMoore:
     def test_cpar_is_well_formed(self):
@@ -140,6 +157,24 @@ class TestValidateMoore:
         }
         m = validate_moore(raw)
         assert m.out["s"] == "0"
+
+    @pytest.mark.parametrize("table, rows, error", [
+        ("delta", {"q1": {"0": "q1", "2": "q0"}}, UnknownSymbol),
+        ("delta", {"q9": {"0": "q0", "1": "q1"}}, UnknownSymbol),
+        ("out", {"q9": "0"}, UnknownSymbol),
+        ("out", {"q1": "2"}, UnknownSymbol),
+        ("out", {"q1": ["1"]}, UnknownSymbol),
+    ], ids=["letter-in-place-of-letter", "undeclared-row", "out-undeclared-state",
+            "unknown-output", "unhashable-output"])
+    def test_bad_table(self, table, rows, error):
+        raw = {**CPAR_RAW, table: {**CPAR_RAW[table], **rows}}
+        with pytest.raises(error):
+            validate_moore(raw)
+
+    def test_out_entry_in_place_of_a_state(self):
+        raw = {**CPAR_RAW, "out": {"q0": "0", "q9": "1"}}
+        with pytest.raises(UnknownSymbol):
+            validate_moore(raw)
 
 
 class TestTablesAreCopied:
@@ -250,9 +285,36 @@ class TestIsHomomorphism:
         psi = identity_map(par)
         assert is_homomorphism(compose_maps(psi, phi))
 
+    def test_compose_maps_applies_phi_first(self, par):
+        phi = StateMap(par, par, {"q0": "q1", "q1": "q1"})
+        psi = StateMap(par, par, {"q0": "q0", "q1": "q0"})
+        assert dict(compose_maps(psi, phi).map) == {"q0": "q0", "q1": "q0"}
+        assert dict(compose_maps(phi, psi).map) == {"q0": "q1", "q1": "q1"}
+
     def test_map_totality_enforced(self, par):
         with pytest.raises(MissingEntry):
             StateMap(par, par, {"q0": "q0"})
+
+    @pytest.mark.parametrize("composite", [False, True], ids=["plain", "composite"])
+    def test_extra_entry(self, par, composite):
+        m = compose_cells(par, par) if composite else par
+        with pytest.raises(UnknownSymbol):
+            StateMap(m, m, {**{e: e for e in m.states}, "q9": m.states[0]})
+
+    @pytest.mark.parametrize("composite, image", [
+        (False, ("q0", "q1")), (False, "q9"), (False, ["q0"]),
+        (True, ("q0", "q9")), (True, "q0"), (True, (["q0"], "q0")),
+    ], ids=["plain-pair", "plain-name", "plain-unhashable",
+            "composite-pair", "composite-non-tuple", "composite-unhashable"])
+    def test_image_not_a_target_state(self, par, composite, image):
+        m = compose_cells(par, par) if composite else par
+        with pytest.raises(UnknownSymbol):
+            StateMap(m, m, {**{e: e for e in m.states}, m.states[-1]: image})
+
+    def test_checked_images_are_the_index_images(self, par):
+        m = compose_cells(par, par)
+        phi = StateMap(m, m, {e: m.states[-1 - i] for i, e in enumerate(m.states)})
+        assert phi._img == (3, 2, 1, 0)
 
 
 def rebuilt(m):

@@ -127,6 +127,9 @@ class TestUcompose2:
                     for phi in inner:
                         c = ucompose2(UMap(n1, n2, psi), UMap(m1, m2, phi))
                         assert is_homomorphism(c.statemap)
+                        assert dict(c.statemap.map) == {
+                            (f, e): (psi.map[f], phi.map[e]) for f in n1.states for e in m1.states
+                        }
 
 
 class TestTriangle:

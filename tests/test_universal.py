@@ -143,6 +143,10 @@ class TestDIter:
             d_iter(par, "q0", (["1"],))
         with pytest.raises(UnknownSymbol):
             d_iter(par, "nope", ("1",))
+        with pytest.raises(UnknownSymbol):
+            d_iter(universal_u(par.input), "bogus", ())
+        assert d_iter(par, "q1", ()) == "q1"
+        assert d_iter(moorify(par), ("1", "q0"), ()) == ("1", "q0")
 
 
 class TestMoorify:
