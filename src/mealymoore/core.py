@@ -12,11 +12,10 @@ flat tuple of target indices at ``i*k + a``, and ``_o`` the flat tuple of
 output-symbol indices, at ``i*k + a`` (Mealy) or at ``i`` (Moore).  The
 public constructor, and so every machine file, checks the named tables
 in the walk that builds the index form.  The library builds its own
-machines (composites, enumerated machines, D₀ and D₁ images) in index
-form, and their named tables on first access; only random machines are
-built named-first, with the index form on the first kernel call (see
-``generate``).  Either form is built once and kept.  The named ``delta``
-and ``out`` are read-only mappings, so the two forms cannot drift apart.
+machines (composites, enumerated and random machines, D₀ and D₁ images)
+in index form, so every machine starts with it; their named tables are
+built on first access and kept.  The named ``delta`` and ``out`` are
+read-only mappings, so the two forms cannot drift apart.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -140,10 +139,11 @@ class _Machine:
     The public constructor checks the named tables in the walk that
     builds the index form, so a machine leaves it with both, and keeps
     read-only copies of them: neither the caller's dicts nor writes
-    through ``delta`` or ``out`` can change a validated machine.  The
-    named tables of machines the library builds are read-only too, so on
-    every machine the two forms agree, and no machine sharing a table
-    with another can be changed through it."""
+    through ``delta`` or ``out`` can change a validated machine.  Every
+    machine the library builds starts in index form (``_trusted``), and
+    its named view, built on first access, is read-only too, so on every
+    machine the two forms agree, and no machine sharing a table with
+    another can be changed through it."""
 
     input: Alphabet
     output: Alphabet
@@ -162,18 +162,11 @@ class _Machine:
         if len(pos) != len(states):
             raise DuplicateName("repeated state names")
         delta, out = dict(self.delta), dict(self.out)
-        self.__dict__.update(states=states, _pos=pos, delta=MappingProxyType(delta),
-                             out=MappingProxyType(out))
-        self._index_tables(delta, out)
-
-    def _index_tables(self, delta, out):
-        """Check delta and out against the states and alphabets; keep the index form."""
-        states = self.states
         keys = list(itertools.product(states, self.input.symbols))
         code = {b: j for j, b in enumerate(self.output.symbols)}
         self.__dict__.update(
-            _d=_index_table("delta", delta, keys, self._pos,
-                            "delta target %s is not a declared state"),
+            states=states, _pos=pos, delta=MappingProxyType(delta), out=MappingProxyType(out),
+            _d=_index_table("delta", delta, keys, pos, "delta target %s is not a declared state"),
             _o=_index_table("out", out, keys if self._out_by_letter else states, code,
                             "output letter %s is not in the output alphabet"),
             _n=len(states),
@@ -185,21 +178,17 @@ class _Machine:
         itself: no check, no copy.  ``tables`` are the index form ``_d``,
         ``_o`` and ``_n`` (the state count) with the state names:
         ``states``, a tuple, or ``_factors``, the pair (second, first) of
-        a composite, whose state (f, e) has index f·|first| + e.  Only the
-        random generators pass the named ``states``, ``delta`` and
-        ``out``, read-only, instead (see ``generate``)."""
+        a composite, whose state (f, e) has index f·|first| + e."""
         m = object.__new__(cls)
         m.__dict__.update(tables, input=input, output=output)
         return m
 
     def __getattr__(self, name):
-        """Build, on first use, what the machine was not made with, and
-        keep it: the index form of a random machine, the named view of
-        one built in index form."""
+        """Build, on first use, what a machine built in index form was
+        not made with, and keep it: the named view, a composite's
+        ``states`` and the state positions ``_pos``."""
         have = self.__dict__
-        if name in ("_d", "_o", "_n"):
-            self._index_tables(self.delta, self.out)
-        elif name in ("delta", "out"):
+        if name in ("delta", "out"):
             states = self.states
             keys = list(itertools.product(states, self.input.symbols))
             symbols = self.output.symbols
@@ -236,6 +225,8 @@ class _Machine:
     def __eq__(self, other):
         # Equal states and alphabets make the named and index tables
         # determine each other, so the index form decides.
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.input == other.input and self.output == other.output
@@ -407,6 +398,6 @@ def identity_map(m: Machine) -> StateMap:
 
 def compose_maps(psi: StateMap, phi: StateMap) -> StateMap:
     """Vertical composition psi∘phi of state maps."""
-    if phi.target is not psi.source and phi.target != psi.source:
+    if phi.target != psi.source:
         raise EndpointMismatch("maps are not composable")
     return StateMap._trusted(phi.source, psi.target, tuple(map(psi._img.__getitem__, phi._img)))

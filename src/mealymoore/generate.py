@@ -3,18 +3,17 @@
 Enumeration order is lexicographic over the table entries with states
 and letters in declaration order, so sweeps and reports are diffable.
 The tables built here are total by construction, so the machines skip
-the table check.  Enumerated machines are built in index form (see
-``core``) and share their index tuples.  Random machines are the one
-kind built named-first, with read-only named tables and the index form
-on the first kernel call: callers that set up from their named tables
-(the benchmark does) would otherwise pay for the named view on top.
+the table check.  Every machine here is built in index form (see
+``core``), its named tables on first access; enumerated machines share
+their index tuples.  A random machine draws its targets, then its
+outputs, in table order with ``rng.choice`` over tuples of indices,
+which draws the same indices as a choice over the names would.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from types import MappingProxyType
 from typing import Iterator
 
 from .core import (
@@ -79,20 +78,22 @@ def all_moore_up_to(inp, outp, max_states):
     return _all_up_to(count_moore, all_moore, inp, outp, max_states)
 
 
-def random_mealy(rng: random.Random, inp: Alphabet, outp: Alphabet, n_states: int) -> MealyMachine:
+def _random(kind, rng, inp, outp, n_states):
     states = _state_names(n_states)
-    delta = {(e, a): rng.choice(states) for e in states for a in inp.symbols}
-    out = {(e, a): rng.choice(outp.symbols) for e in states for a in inp.symbols}
-    return MealyMachine._trusted(inp, outp, states=states, delta=MappingProxyType(delta),
-                                 out=MappingProxyType(out))
+    # Index tuples, not ranges: rng.choice draws the same index from
+    # either (or from the names), and indexes a tuple faster.
+    cells, targets, letters = n_states * len(inp), tuple(range(n_states)), tuple(range(len(outp)))
+    d = tuple([rng.choice(targets) for _ in range(cells)])
+    o = tuple([rng.choice(letters) for _ in range(cells if kind._out_by_letter else n_states)])
+    return kind._trusted(inp, outp, _d=d, _o=o, _n=n_states, states=states)
+
+
+def random_mealy(rng: random.Random, inp: Alphabet, outp: Alphabet, n_states: int) -> MealyMachine:
+    return _random(MealyMachine, rng, inp, outp, n_states)
 
 
 def random_moore(rng: random.Random, inp: Alphabet, outp: Alphabet, n_states: int) -> MooreMachine:
-    states = _state_names(n_states)
-    delta = {(e, a): rng.choice(states) for e in states for a in inp.symbols}
-    out = {e: rng.choice(outp.symbols) for e in states}
-    return MooreMachine._trusted(inp, outp, states=states, delta=MappingProxyType(delta),
-                                 out=MappingProxyType(out))
+    return _random(MooreMachine, rng, inp, outp, n_states)
 
 
 def random_cell(rng: random.Random, inp: Alphabet, outp: Alphabet, max_states: int):

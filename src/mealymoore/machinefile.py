@@ -65,8 +65,9 @@ def parse_machine_text(text: str) -> dict:
         raise MachineFileSyntaxError("JSON nested too deeply") from err
     if not isinstance(doc, dict):
         raise MachineFileSyntaxError("a machine file holds a single JSON object")
-    if doc.get("version") != FORMAT_VERSION:
-        raise VersionMismatch("unsupported format version %r" % (doc.get("version"),))
+    version = doc.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:  # True == 1 == 1.0: check the type
+        raise VersionMismatch("unsupported format version %r" % (version,))
     unknown = set(doc) - _FIELDS
     if unknown:
         raise MachineFileSyntaxError("unknown field %r" % (sorted(unknown)[0],))

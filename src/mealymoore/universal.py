@@ -11,7 +11,6 @@ concrete conversion functors from Moore to Mealy machines.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -50,8 +49,8 @@ def universal_p(x: Alphabet) -> MooreMachine:
 
     The carrier is the symbol set itself, identifying each state with
     the function that answers it on the empty word and agrees with
-    ``head`` everywhere else; ``pinfty_carrier_check`` counts those
-    functions word by word.  Like ``universal_u``, it is built once per
+    ``head`` everywhere else; ``pinfty_carrier_check`` gives the count
+    of those functions, |x|.  Like ``universal_u``, it is built once per
     symbol tuple and then shared.
     """
     states = x.symbols
@@ -64,17 +63,13 @@ def pinfty_carrier_check(x: Alphabet, depth: int) -> int:
     """Count the functions from words of length ≤ depth to x that agree
     with ``head`` on every nonempty word.
 
-    The constraints are one per word and independent, so the count is the
-    product over the words of the letters each allows: all of x on the
-    empty word, only its head on a nonempty word.  The count is |x|: the
-    only freedom is the value on the empty word."""
-    from .semantics import words_up_to
-
+    The count is |x| by definition, so no word is enumerated.  The
+    constraints are one per word and independent: the empty word allows
+    all of x and a nonempty word only its head, so the only freedom is
+    the value on the empty word, whatever the depth."""
     if depth < 1:
         raise MachineError("depth must be ≥ 1")
-    return math.prod(
-        sum(1 for a in x.symbols if not w or a == w[0]) for w in words_up_to(x, depth)
-    )
+    return len(x)
 
 
 def embed_j(m: MooreMachine) -> MealyMachine:

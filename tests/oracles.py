@@ -2,9 +2,10 @@
 
 Everything here recomputes results from first principles (folds over
 the named tables, bounded word exhaustion, brute-force counts, pairwise
-table checks) rather than calling the code paths under test.  The
-exceptions are ``pentagon_maps`` and ``rebracketed``, which read the
-bijections ``associator`` returns, because those are what they are about.
+table checks, a named-first random draw) rather than calling the code
+paths under test.  The exceptions are ``pentagon_maps`` and
+``rebracketed``, which read the bijections ``associator`` returns,
+because those are what they are about.
 """
 
 import functools
@@ -183,6 +184,27 @@ def pinfty_carrier(x, depth):
         1 for values in itertools.product(x.symbols, repeat=len(words))
         if values[1:] == heads
     )
+
+
+def random_named(rng, kind, inp, outp, n_states):
+    """The seeded draw of ``generate.random_mealy``/``random_moore``,
+    written named-first: (states, delta, out), the delta dict from
+    ``rng.choice`` over the state names, then the outputs from
+    ``rng.choice`` over the output symbols, both in table order."""
+    states = tuple("s%d" % i for i in range(n_states))
+    delta = {(e, a): rng.choice(states) for e in states for a in inp.symbols}
+    if kind is MealyMachine:
+        out = {(e, a): rng.choice(outp.symbols) for e in states for a in inp.symbols}
+    else:
+        out = {e: rng.choice(outp.symbols) for e in states}
+    return states, delta, out
+
+
+def random_cell_named(rng, inp, outp, max_states):
+    """The seeded draw of ``generate.random_cell``: (kind, states, delta, out)."""
+    n = rng.randint(1, max_states)
+    kind = MooreMachine if rng.random() < 0.5 else MealyMachine
+    return (kind,) + random_named(rng, kind, inp, outp, n)
 
 
 def _whisker_right(phi, first):

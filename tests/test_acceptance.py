@@ -335,7 +335,7 @@ def test_criterion_07_extension_square(moore_sweep):
 
 
 def test_criterion_08_pullback_carrier():
-    # The count is a per-word product by construction, so it is compared
+    # The count is |x| by definition (closed form), so it is compared
     # with the brute-force count wherever that is tractable.
     two = _alphabet(2)
     three = _alphabet(3)

@@ -45,7 +45,7 @@ from mealymoore.generate import (
 )
 
 from conftest import BITS, make_cpar, make_par
-from oracles import table_hom
+from oracles import random_cell_named, random_named, table_hom
 
 
 PAR_RAW = {
@@ -379,6 +379,29 @@ class TestTrustedConstruction:
         # The public constructor refused these; the generators must too.
         with pytest.raises(MachineError):
             make(bits)
+
+    @pytest.mark.parametrize("kind", ["mealy", "moore", "cell"])
+    def test_seeded_stream_is_pinned(self, kind):
+        # Each seed gives the machine the named-first draw gives, leaves
+        # the generator where that draw leaves it, and starts in index form.
+        letters = ("a", "b", "c")
+        for seed in range(20):
+            for k in (1, 2, 3):
+                inp, outp = Alphabet("A", letters[:k]), Alphabet("B", letters[:4 - k])
+                for n in range(1, 8):
+                    rng, ref = random.Random(seed), random.Random(seed)
+                    if kind == "cell":
+                        m = random_cell(rng, inp, outp, n)
+                        want_kind, *want = random_cell_named(ref, inp, outp, n)
+                    else:
+                        want_kind = MealyMachine if kind == "mealy" else MooreMachine
+                        make = random_mealy if kind == "mealy" else random_moore
+                        m = make(rng, inp, outp, n)
+                        want = random_named(ref, want_kind, inp, outp, n)
+                    assert "_d" in m.__dict__ and "delta" not in m.__dict__
+                    assert type(m) is want_kind
+                    assert (m.states, m.delta, m.out) == tuple(want)
+                    assert rng.random() == ref.random()
 
     def test_universal_cells_are_built_once(self, bits):
         assert universal_u(bits) is universal_u(bits)

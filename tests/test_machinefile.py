@@ -85,9 +85,11 @@ class TestParseErrors:
         with pytest.raises(MachineFileSyntaxError):
             parse_machine_text("[1, 2, 3]")
 
-    def test_version_mismatch(self, par):
+    @pytest.mark.parametrize("version", [2, True, 1.0, "1"])
+    def test_version_mismatch(self, par, version):
+        # Only the JSON integer 1 is version 1, although True == 1.0 == 1.
         doc = doc_for(par)
-        doc["version"] = 2
+        doc["version"] = version
         with pytest.raises(VersionMismatch):
             parse_machine_text(json.dumps(doc))
 

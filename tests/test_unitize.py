@@ -111,6 +111,12 @@ class TestUcompose2:
         assert c.statemap.map[("0", "q1")] == ("0", "q1")
         assert is_homomorphism(c.statemap)
 
+    def test_machine_product_builds_no_named_states(self, cpar, u2):
+        # The endpoint check meets the very composites ucompose2 built, so
+        # it must not compare (and so build) their named state products.
+        c = ucompose2(UMap(u2, u2, identity_map(u2)), UMap(cpar, cpar, identity_map(cpar)))
+        assert "states" not in c.source.__dict__ and "states" not in c.target.__dict__
+
     def test_product_of_homs_is_hom(self, bits):
         rng = random.Random(13)
         from mealymoore import enumerate_homs
