@@ -32,50 +32,51 @@ def _state_names(n):
     return tuple("s%d" % i for i in range(n))
 
 
-def count_mealy(inp: Alphabet, outp: Alphabet, n_states: int) -> int:
+def _count(kind, inp, outp, n_states):
     cells = n_states * len(inp)
-    return (n_states ** cells) * (len(outp) ** cells)
+    return n_states ** cells * len(outp) ** (cells if kind._out_by_letter else n_states)
+
+
+def count_mealy(inp: Alphabet, outp: Alphabet, n_states: int) -> int:
+    return _count(MealyMachine, inp, outp, n_states)
 
 
 def count_moore(inp: Alphabet, outp: Alphabet, n_states: int) -> int:
-    cells = n_states * len(inp)
-    return (n_states ** cells) * (len(outp) ** n_states)
+    return _count(MooreMachine, inp, outp, n_states)
+
+
+def _all(kind, inp, outp, n_states):
+    states, cells = _state_names(n_states), n_states * len(inp)
+    outs = cells if kind._out_by_letter else n_states  # entries in the output table
+    for targets in itertools.product(range(n_states), repeat=cells):
+        for letters in itertools.product(range(len(outp)), repeat=outs):
+            yield kind._trusted(inp, outp, _d=targets, _o=letters, _n=n_states, states=states)
 
 
 def all_mealy(inp: Alphabet, outp: Alphabet, n_states: int) -> Iterator[MealyMachine]:
     """Every Mealy machine with exactly n_states states, in table order."""
-    states = _state_names(n_states)
-    cells = n_states * len(inp)
-    for targets in itertools.product(range(n_states), repeat=cells):
-        for letters in itertools.product(range(len(outp)), repeat=cells):
-            yield MealyMachine._trusted(inp, outp, _d=targets, _o=letters, _n=n_states,
-                                        states=states)
+    return _all(MealyMachine, inp, outp, n_states)
 
 
 def all_moore(inp: Alphabet, outp: Alphabet, n_states: int) -> Iterator[MooreMachine]:
     """Every Moore machine with exactly n_states states, in table order."""
-    states = _state_names(n_states)
-    cells = n_states * len(inp)
-    for targets in itertools.product(range(n_states), repeat=cells):
-        for letters in itertools.product(range(len(outp)), repeat=n_states):
-            yield MooreMachine._trusted(inp, outp, _d=targets, _o=letters, _n=n_states,
-                                        states=states)
+    return _all(MooreMachine, inp, outp, n_states)
 
 
-def _all_up_to(count, enumerate_exactly, inp, outp, max_states):
-    total = sum(count(inp, outp, k) for k in range(1, max_states + 1))
+def _all_up_to(kind, inp, outp, max_states):
+    total = sum(_count(kind, inp, outp, k) for k in range(1, max_states + 1))
     if total > ENUMERATION_GUARD:
         raise EnumerationTooLarge("%d machines exceed the guard" % total)
     for k in range(1, max_states + 1):
-        yield from enumerate_exactly(inp, outp, k)
+        yield from _all(kind, inp, outp, k)
 
 
 def all_mealy_up_to(inp, outp, max_states):
-    return _all_up_to(count_mealy, all_mealy, inp, outp, max_states)
+    return _all_up_to(MealyMachine, inp, outp, max_states)
 
 
 def all_moore_up_to(inp, outp, max_states):
-    return _all_up_to(count_moore, all_moore, inp, outp, max_states)
+    return _all_up_to(MooreMachine, inp, outp, max_states)
 
 
 def _random(kind, rng, inp, outp, n_states):

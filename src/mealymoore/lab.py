@@ -5,9 +5,11 @@ is found by a propagating search: the dynamics are deterministic, so
 fixing the image of one state forces the images of all its successors,
 and a branch dies at the first clash of outputs or dynamics.  The
 adjunction / coreflection transposition formulas are verified as
-literal bijections between the resulting hom-sets.  A hard guard on the
-search nodes visited keeps enumerations honest: either the result is
-complete or the search raises, never silently truncated.
+bijections between the resulting hom-sets in one pass over the left
+homs, and the identity search reads every pair of states from one
+partition refinement of a composite and its probe.  A hard guard on
+the search nodes visited keeps enumerations honest: either the result
+is complete or the search raises, never silently truncated.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .core import (
     is_homomorphism,
 )
 from .generate import all_moore_up_to
-from .semantics import PointedMachine, bisimilar
+from .semantics import _blocks
 from .universal import apply_D1, decapitate, embed_j, is_soft, moorify
 
 
@@ -143,33 +145,29 @@ def _transpose_report(n, left, right):
     """Attempt φ ↦ (e ↦ (out_n(e), φ(e))) as a bijection left → right,
     with the inverse projecting the second component.  The right-hand
     target is a register after left's target m, whose state (b, e) has
-    index b·|m| + e, so the transposition works on index images."""
+    index b·|m| + e and outputs b, so the transposition works on index
+    images.  One pass pairs each left hom with its transpose, popped from
+    the right homs.  No round trip can fail: output preservation makes
+    every right hom send e to (out_n(e), ·), so it is the transpose of its
+    projection.  Transposition is injective, so it is a bijection
+    (and the sizes agree) exactly when no transpose is missing and no
+    right hom is left over; the first left over is the first whose
+    projection is not a left hom."""
     width = left.target._n
-    right_imgs = [psi._img for psi in right.homs]
-    left_imgs = [phi._img for phi in left.homs]
+    unpaired = {psi._img: psi for psi in right.homs}  # in right-hom order
     pairs = []
     for phi in left.homs:
-        transposed = tuple(b * width + t for b, t in zip(n._o, phi._img))
-        if transposed not in right_imgs:
+        psi = unpaired.pop(tuple(b * width + t for b, t in zip(n._o, phi._img)), None)
+        if psi is None:
             return BijectionReport(
                 left, right, (), False,
                 "transpose of %r is not in the right hom-set" % (dict(phi.map),),
             )
-        pairs.append((phi, right.homs[right_imgs.index(transposed)]))
-    for psi in right.homs:
-        projected = tuple(t % width for t in psi._img)
-        if projected not in left_imgs:
-            return BijectionReport(
-                left, right, (), False,
-                "projection of %r is not in the left hom-set" % (dict(psi.map),),
-            )
-        if tuple(b * width + t for b, t in zip(n._o, projected)) != psi._img:
-            return BijectionReport(
-                left, right, (), False,
-                "round trip fails at %r" % (dict(psi.map),),
-            )
-    if len(left.homs) != len(right.homs):
-        return BijectionReport(left, right, (), False, "hom-set sizes differ")
+        pairs.append((phi, psi))
+    if unpaired:
+        psi = next(iter(unpaired.values()))  # the first right hom no transpose reached
+        return BijectionReport(left, right, (), False,
+                               "projection of %r is not in the left hom-set" % (dict(psi.map),))
     return BijectionReport(left, right, tuple(pairs), True, None)
 
 
@@ -229,22 +227,15 @@ class IdentitySearchReport:
     __hash__ = None
 
 
-def _pointwise_identity(candidate, probe, composite, side):
-    """Does the composite behave like the probe from every probe state,
-    for some choice of candidate start state?"""
-    j_composite = embed_j(composite)
-    for e0 in probe.states:
-        found = False
-        for u0 in candidate.states:
-            start = (u0, e0) if side == "left" else (e0, u0)
-            if bisimilar(
-                PointedMachine(j_composite, start), PointedMachine(probe, e0)
-            ):
-                found = True
-                break
-        if not found:
-            return False
-    return True
+def _pointwise_identity(composite, probe, u_stride, e_stride):
+    """Is every probe state e bisimilar to the state (u, e) of
+    J(composite) for some candidate state u?  One refinement of
+    J(composite) ⊔ probe answers every pair; (u, e) has index
+    u·u_stride + e·e_stride in the composite (see ``compose_cells``)."""
+    block, shift = _blocks(embed_j(composite), probe), composite._n
+    units = range(shift // probe._n)
+    return all(any(block[u * u_stride + e * e_stride] == block[shift + e] for u in units)
+               for e in range(probe._n))
 
 
 def search_moore_identity(
@@ -253,9 +244,12 @@ def search_moore_identity(
     """Enumerate every Moore machine U : a↝a with ≤ max_states states
     and test whether U⋄m and m⋄U are bisimilar to m pointwise for every
     probe m.  The survivor list is expected to be empty whenever some
-    probe has a letter-dependent output table."""
+    probe has a letter-dependent output table.  With no probe nothing
+    would be checked, so an empty probe list raises."""
     if max_states < 1:
         raise MachineError("max_states must be ≥ 1")
+    if not probes:
+        raise MachineError("the identity search needs at least one probe")
     survivors = []
     failures = []
     checked = 0
@@ -263,10 +257,10 @@ def search_moore_identity(
         checked += 1
         failed = None
         for p_idx, probe in enumerate(probes):
-            if not _pointwise_identity(candidate, probe, ltimes(candidate, probe), "left"):
+            if not _pointwise_identity(ltimes(candidate, probe), probe, probe._n, 1):
                 failed = (idx, p_idx, "post-composition")
                 break
-            if not _pointwise_identity(candidate, probe, rtimes(probe, candidate), "right"):
+            if not _pointwise_identity(rtimes(probe, candidate), probe, 1, candidate._n):
                 failed = (idx, p_idx, "pre-composition")
                 break
         if failed is None:

@@ -6,7 +6,8 @@ left to right.  Mealy machines are evaluated on nonempty words only;
 Moore machines also answer on the empty word.
 
 Behavioral equivalence is decided exactly by partition refinement on the
-disjoint union of the state sets; bounded word exhaustion is kept to the
+disjoint union of the state sets, in one helper that ``bisimilar`` and the
+identity search of ``lab`` share; bounded word exhaustion is kept to the
 test suite as an independent oracle.
 """
 
@@ -88,23 +89,14 @@ def _renumber(signatures):
     return [ids.setdefault(s, len(ids)) for s in signatures], len(ids)
 
 
-def bisimilar(p: PointedMachine, q: PointedMachine) -> bool:
-    """Exact behavioral equivalence of two pointed machines of the same
-    kind, by Moore's partition refinement on the disjoint union of their
-    states.
-
-    Blocks are small integers, over the index form with q's states
-    numbered after p's.  The first partition groups states by observation
-    (output, or output row for Mealy machines); each round renumbers the
-    signatures (block, block of each successor) and the refinement stops
-    when the block count stops growing.  With N = |Q₁|+|Q₂| there are at
-    most N rounds of O(N·|A|) work each.
-    """
-    m, n = p.machine, q.machine
-    if type(m) is not type(n):
-        raise KindMismatch("bisimilarity compares machines of the same kind")
-    if m.input.symbols != n.input.symbols or m.output.symbols != n.output.symbols:
-        raise EndpointMismatch("bisimilarity requires common alphabets")
+def _blocks(m: Machine, n: Machine) -> list[int]:
+    """Moore's partition refinement on the disjoint union of two machines
+    of one kind over common alphabets: the block, a small integer, of
+    every state index, n's states numbered after m's.  The first
+    partition groups states by observation (output, or output row for
+    Mealy machines); each round renumbers the signatures (block, block of
+    each successor) and stops when the block count stops growing.  With
+    N = |Q₁|+|Q₂| there are at most N rounds of O(N·|A|) work each."""
     k, shift = len(m.input.symbols), m._n
     succ = m._d + tuple(t + shift for t in n._d)  # the successor of node i at i*k + a
     out = m._o + n._o
@@ -115,9 +107,21 @@ def bisimilar(p: PointedMachine, q: PointedMachine) -> bool:
         moved = list(map(block.__getitem__, succ))
         refined, refined_count = _renumber(zip(block, *(moved[a::k] for a in range(k))))
         if refined_count == count:
-            break
+            return block
         block, count = refined, refined_count
-    return block[p._i] == block[shift + q._i]
+
+
+def bisimilar(p: PointedMachine, q: PointedMachine) -> bool:
+    """Exact behavioral equivalence of two pointed machines of the same
+    kind: their starts share a block of ``_blocks`` on the disjoint union
+    of their states."""
+    m, n = p.machine, q.machine
+    if type(m) is not type(n):
+        raise KindMismatch("bisimilarity compares machines of the same kind")
+    if m.input.symbols != n.input.symbols or m.output.symbols != n.output.symbols:
+        raise EndpointMismatch("bisimilarity requires common alphabets")
+    block = _blocks(m, n)
+    return block[p._i] == block[m._n + q._i]
 
 
 def check_extension_square(m: MooreMachine, maxlen: int) -> bool:

@@ -116,6 +116,52 @@ def homs(source, target):
     return found
 
 
+def transposition(n, left_maps, right_maps):
+    """The transposition φ ↦ (e ↦ (out_n(e), φ(e))) between named hom-sets
+    (dicts, as ``homs`` returns them), checked literally: every transpose
+    is a right map, then every right map's projection e ↦ ψ(e)[1] is a
+    left map whose transpose is that right map again, then the sizes.
+    Returns (success, first counterexample, pairs of named maps)."""
+    def transpose(phi):
+        return {e: (n.out[e], phi[e]) for e in n.states}
+
+    pairs = []
+    for phi in left_maps:
+        if transpose(phi) not in right_maps:
+            return False, "transpose of %r is not in the right hom-set" % (phi,), []
+        pairs.append((phi, transpose(phi)))
+    for psi in right_maps:
+        projected = {e: psi[e][1] for e in n.states}
+        if projected not in left_maps:
+            return False, "projection of %r is not in the left hom-set" % (psi,), []
+        if transpose(projected) != psi:
+            return False, "round trip fails at %r" % (psi,), []
+    if len(left_maps) != len(right_maps):
+        return False, "hom-set sizes differ", []
+    return True, None, pairs
+
+
+def pointwise_identity(candidate, probe):
+    """The first direction in which the Moore machine ``candidate`` U is
+    no pointwise identity for the Mealy machine ``probe`` m, or None.
+
+    U⋄m ("post-composition") and then m⋄U ("pre-composition") are built
+    by ``cascade``, and the Moore composite is read as a Mealy machine
+    whose output ignores the letter.  Each must have, for every probe
+    state e, a state (u, e) or (e, u) bisimilar to e by word exhaustion."""
+    for direction, second, first, pair in (
+            ("post-composition", candidate, probe, lambda u, e: (u, e)),
+            ("pre-composition", probe, candidate, lambda u, e: (e, u))):
+        _, states, delta, out = cascade(second, first)
+        letters = first.input.symbols
+        j = MealyMachine(first.input, second.output, states, delta,
+                         {(s, a): out[s] for s in states for a in letters})
+        if not all(any(bisimilar_words(j, pair(u, e), probe, e) for u in candidate.states)
+                   for e in probe.states):
+            return direction
+    return None
+
+
 def letter_independent(mealy):
     """Does a Mealy output table ignore the current letter?"""
     for e in mealy.states:

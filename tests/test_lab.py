@@ -8,25 +8,30 @@ from mealymoore import (
     Alphabet,
     EndpointMismatch,
     EnumerationTooLarge,
+    MachineError,
     MealyMachine,
     MooreMachine,
     NotAHomomorphism,
     NotSoft,
     StateMap,
+    apply_D1,
     check_adjunction_D1,
     check_counit,
     check_hom_correspondence,
     check_moorify_functorial,
     decapitate,
+    embed_j,
     enumerate_homs,
     identity_cell,
     is_homomorphism,
+    is_soft,
+    moorify,
     search_moore_identity,
 )
 from mealymoore import lab
-from mealymoore.generate import all_mealy_up_to, all_moore_up_to, random_mealy
+from mealymoore.generate import all_mealy_up_to, all_moore_up_to, random_mealy, random_moore
 
-from oracles import homs, table_hom
+from oracles import homs, letter_independent, pointwise_identity, table_hom, transposition
 from test_properties import alphabets, mealys, moores
 
 
@@ -189,6 +194,34 @@ class TestCorrespondence:
         assert [p.map for p, _ in r1.pairs] == [p.map for p, _ in r2.pairs]
 
 
+class TestTransposition:
+    def test_matches_literal_checks_on_named_maps(self):
+        # The adjunction, and the correspondence wherever it applies, on
+        # seeded pairs of at most three states: the verdict, the first
+        # counterexample and the pairing equal those of the literal
+        # three checks on brute-force hom-sets.
+        rng = random.Random(17)
+        checked = failed = failed_correspondences = 0
+        for trial in range(2000):
+            inp = Alphabet("in", ("0", "1")[: 1 + trial % 2])
+            outp = Alphabet("out", ("x", "y", "z")[: 1 + trial % 3])
+            n = random_moore(rng, inp, outp, rng.randint(1, 3))
+            m = random_mealy(rng, inp, outp, rng.randint(1, 3))
+            cases = [(check_adjunction_D1, apply_D1(n), moorify(m))]
+            if is_soft(n):
+                cases.append((check_hom_correspondence, embed_j(n), decapitate(m)))
+            for check, source, register in cases:
+                report = check(n, m)
+                success, counterexample, pairs = transposition(
+                    n, homs(source, m), homs(n, register))
+                assert (report.success, report.counterexample) == (success, counterexample)
+                assert [(dict(phi.map), dict(psi.map)) for phi, psi in report.pairs] == pairs
+                checked += 1
+                failed += not success
+                failed_correspondences += not success and check is check_hom_correspondence
+        assert checked > 2000 and 0 < failed_correspondences == failed  # the adjunction holds
+
+
 class TestCounit:
     def test_par(self, par):
         assert check_counit(par)
@@ -242,3 +275,38 @@ class TestSearchMooreIdentity:
     def test_guard(self, bits, par):
         with pytest.raises(EnumerationTooLarge):
             search_moore_identity(bits, [par], 6)
+
+    def test_no_probe_raises(self, bits):
+        # With no probe nothing is checked, so no candidate may survive.
+        with pytest.raises(MachineError):
+            search_moore_identity(bits, [], 1)
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_matches_pointwise_oracle(self, seed):
+        # 1-3-letter alphabets, 1-3 random probes, letter-independent ones
+        # (J of a Moore machine) on every fourth seed, and the identity
+        # cell among them on every third.  Survivors occur on the singleton
+        # alphabets and with some letter-independent probes.
+        rng = random.Random(seed)
+        size = 1 + seed % 3
+        a = Alphabet("a", ("0", "1", "2")[:size])
+        max_states = 4 - size
+        draw = (lambda *args: embed_j(random_moore(*args))) if seed % 4 == 0 else random_mealy
+        probes = [draw(rng, a, a, rng.randint(1, 3)) for _ in range(1 + seed // 3 % 3)]
+        if seed % 9 < 3:
+            probes.append(identity_cell(a))
+        survivors, failures = [], []
+        for idx, candidate in enumerate(all_moore_up_to(a, a, max_states)):
+            for p_idx, probe in enumerate(probes):
+                direction = pointwise_identity(candidate, probe)
+                if direction is not None:
+                    failures.append((idx, p_idx, direction))
+                    break
+            else:
+                survivors.append(candidate)
+        report = search_moore_identity(a, probes, max_states)
+        assert report.candidates_checked == len(survivors) + len(failures)
+        assert report.survivors == tuple(survivors)
+        assert report.failures == tuple(failures)
+        warned = bool(survivors) and all(letter_independent(probe) for probe in probes)
+        assert (report.probe_warning is not None) == warned
