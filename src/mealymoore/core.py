@@ -10,12 +10,13 @@ Every machine also has an index form, which is what the kernels read:
 states 0..n−1 and input letters 0..k−1 in declaration order, ``_d`` the
 flat tuple of target indices at ``i*k + a``, and ``_o`` the flat tuple of
 output-symbol indices, at ``i*k + a`` (Mealy) or at ``i`` (Moore).  The
-public constructor, and so every machine file, checks the named tables
-in the walk that builds the index form.  The library builds its own
-machines (composites, enumerated and random machines, D₀ and D₁ images)
-in index form, so every machine starts with it; their named tables are
-built on first access and kept.  The named ``delta`` and ``out`` are
-read-only mappings, so the two forms cannot drift apart.
+public constructor checks the named tables in the walk that builds the
+index form; a machine file's nested rows are checked in one walk of
+their own into the index form.  The library builds its own machines
+(composites, enumerated and random machines, D₀ and D₁ images, machine
+files) in index form, so every machine starts with it; their named
+tables are built on first access and kept.  The named ``delta`` and
+``out`` are read-only mappings, so the two forms cannot drift apart.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -276,15 +277,43 @@ def _flatten_table(table, what, nested=True):
     return flat
 
 
+def _walk_rows(table, states, letters, code):
+    """The tuple of code[table[e][a]] (code[table[e]] if letters is None)
+    in index order; None, KeyError or TypeError unless table is a dict
+    of exactly these rows, each a dict of exactly these letters."""
+    if type(table) is not dict or len(table) != len(states):
+        return None
+    if letters is None:  # a Moore output table: one bare value per state
+        return tuple(map(code.__getitem__, map(table.__getitem__, states)))
+    k, cells = len(letters), []
+    for row in map(table.__getitem__, states):
+        if type(row) is not dict or len(row) != k:
+            return None
+        cells += map(code.__getitem__, map(row.__getitem__, letters))
+    return tuple(cells)
+
+
 def _validate_raw(raw, cls):
+    """Walk the nested rows into the index form; if any check fails, the
+    public constructor, on the flattened tables, names the fault."""
     inp = _raw_alphabet("input", raw.get("input"))
     outp = _raw_alphabet("output", raw.get("output"))
     states = raw.get("states")
     if not isinstance(states, (list, tuple)):
         raise MissingEntry("states must be a list")
+    states, n = tuple(states), len(states)
+    code = {b: j for j, b in enumerate(outp.symbols)}
+    try:
+        pos = {e: i for i, e in enumerate(states)}
+        d = _walk_rows(raw.get("delta"), states, inp.symbols, pos)
+        o = _walk_rows(raw.get("out"), states, inp.symbols if cls._out_by_letter else None, code)
+        if n and len(pos) == n and d is not None and o is not None:
+            return cls._trusted(inp, outp, states=states, _pos=pos, _d=d, _o=o, _n=n)
+    except (KeyError, TypeError):  # TypeError: an unhashable name or value
+        pass
     delta = _flatten_table(raw.get("delta", {}), "delta")
-    out = _flatten_table(raw.get("out", {}), "out", nested=cls is MealyMachine)
-    return cls(inp, outp, tuple(states), delta, out)
+    out = _flatten_table(raw.get("out", {}), "out", nested=cls._out_by_letter)
+    return cls(inp, outp, states, delta, out)
 
 
 def validate_mealy(raw: Mapping) -> MealyMachine:

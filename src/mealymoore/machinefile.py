@@ -11,12 +11,16 @@ Unknown top-level fields are rejected.  Serialization renders composite
 machines stay auditable; parse(serialize(m)) == m for machines whose
 states are plain names.  Distinct states that render to one name, such
 as ("a", "b,c") and ("a,b", "c"), are refused: the file would not load.
+The writer renders the text from the index form, as json.dumps(doc,
+ensure_ascii=False, indent=2) prints it; ``machine_to_raw`` is that text
+parsed.  The reader walks the nested rows into the index form once; a
+document failing a check is read again only to name the fault.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+from json.encoder import encode_basestring
 from typing import Union
 
 from .core import (
@@ -24,7 +28,6 @@ from .core import (
     Machine,
     MachineError,
     MealyMachine,
-    MooreMachine,
     validate_mealy,
     validate_moore,
 )
@@ -98,37 +101,62 @@ def render_state(s: Union[str, tuple]) -> str:
     return str(s)
 
 
-def machine_to_raw(m: Machine) -> dict:
-    name, owner = {}, {}
-    for e in m.states:
-        text = name[e] = render_state(e)
-        if owner.setdefault(text, e) != e:
-            raise DuplicateName("states %r and %r both render as %r" % (owner[text], e, text))
-    states = list(name.values())
-    cells = list(itertools.product(states, m.input.symbols))  # in index order
-    delta = {e: {} for e in states}
-    for (e, a), t in zip(cells, m._d):
-        delta[e][a] = states[t]
-    symbols = m.output.symbols
-    if isinstance(m, MealyMachine):
-        kind, out = "mealy", {e: {} for e in states}
-        for (e, a), b in zip(cells, m._o):
-            out[e][a] = symbols[b]
-    else:
-        kind, out = "moore", dict(zip(states, map(symbols.__getitem__, m._o)))
-    return {
-        "version": FORMAT_VERSION,
-        "kind": kind,
-        "input": list(m.input.symbols),
-        "output": list(m.output.symbols),
-        "states": states,
-        "delta": delta,
-        "out": out,
-    }
+def _names(m: Machine) -> list:
+    """The rendered state names of m in index order; a composite's are
+    built from its factors' rendered names, each rendered once."""
+    factors = m.__dict__.get("_factors")
+    if factors is None:
+        return list(map(render_state, m.states))
+    first = _names(factors[1])
+    return ["⟨%s,%s⟩" % (f, e) for f in _names(factors[0]) for e in first]
+
+
+def _value(x, pad: str) -> str:
+    """x as a JSON value, on a line indented by ``pad``, by the rules of
+    json.dumps(..., ensure_ascii=False, indent=2): a symbol of an alphabet
+    built in Python may be a number or a tuple, never a list or dict."""
+    if isinstance(x, str):
+        return encode_basestring(x)
+    if isinstance(x, tuple) and x:
+        inner = pad + "  "
+        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(_value(v, inner) for v in x), pad)
+    return json.dumps(x, ensure_ascii=False)
 
 
 def serialize_machine(m: Machine) -> str:
-    return json.dumps(machine_to_raw(m), ensure_ascii=False, indent=2) + "\n"
+    """The machine file of m, rendered from the index form with each
+    state name and symbol quoted once."""
+    names = _names(m)
+    if len(set(names)) < len(names):
+        owner = {}
+        for e, text in zip(m.states, names):
+            if owner.setdefault(text, e) != e:
+                raise DuplicateName("states %r and %r both render as %r" % (owner[text], e, text))
+    q = list(map(encode_basestring, names))
+    mealy = isinstance(m, MealyMachine)
+    # A non-str letter takes json's rules for keys, errors too, from a one-key object.
+    keys = [encode_basestring(a) if isinstance(a, str) else json.dumps({a: 0})[1:-4]
+            for a in m.input.symbols]
+    row = "    %%s: {\n%s\n    }" % ",\n".join("      %s: %%s" % a.replace("%", "%%") for a in keys)
+    outputs = [_value(b, "      " if mealy else "    ") for b in m.output.symbols]
+
+    def rows(values):  # one row per state, k cells each, in index order
+        values = iter(values)
+        return ",\n".join(map(row.__mod__, zip(q, *[values] * len(keys))))
+
+    listed = [",\n".join("    " + t for t in texts) for texts in (
+        [_value(a, "    ") for a in m.input.symbols], [_value(b, "    ") for b in m.output.symbols], q)]
+    out = (rows(map(outputs.__getitem__, m._o)) if mealy
+           else ",\n".join(map("    %s: %s".__mod__, zip(q, map(outputs.__getitem__, m._o)))))
+    return ('{\n  "version": %d,\n  "kind": "%s",\n  "input": [\n%s\n  ],\n'
+            '  "output": [\n%s\n  ],\n  "states": [\n%s\n  ],\n'
+            '  "delta": {\n%s\n  },\n  "out": {\n%s\n  }\n}\n') % (
+        FORMAT_VERSION, "mealy" if mealy else "moore", *listed, rows(map(q.__getitem__, m._d)), out)
+
+
+def machine_to_raw(m: Machine) -> dict:
+    """The document of m's machine file, parsed."""
+    return json.loads(serialize_machine(m))
 
 
 def save_machine(m: Machine, path) -> None:

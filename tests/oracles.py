@@ -2,23 +2,30 @@
 
 Everything here recomputes results from first principles (folds over
 the named tables, bounded word exhaustion, brute-force counts, pairwise
-table checks, a named-first random draw) rather than calling the code
-paths under test.  The exceptions are ``pentagon_maps`` and
+table checks, a named-first random draw, the machine-file writer and
+reader as they were written first, on the named tables) rather than
+calling the code paths under test.  The exceptions are ``pentagon_maps`` and
 ``rebracketed``, which read the bijections ``associator`` returns,
 because those are what they are about.
 """
 
 import functools
 import itertools
+import json
+from collections import abc
 
 from mealymoore import (
+    Alphabet,
+    DuplicateName,
     MealyMachine,
+    MissingEntry,
     MooreMachine,
     PointedMachine,
     StateMap,
     associator,
     compose_cells,
     is_homomorphism,
+    render_state,
     serialize_machine,
     trace,
 )
@@ -305,3 +312,59 @@ def rebracketed(bij, h, g, f):
         trace(PointedMachine(target, s), word) == trace(PointedMachine(fresh, s), word)
         for s in fresh.states
     )
+
+
+def machine_text(m):
+    """The machine file of m as json.dumps prints its document: built
+    from the named tables m.states, m.delta and m.out, state names by
+    render_state, then json.dumps(..., ensure_ascii=False, indent=2)."""
+    name, owner = {}, {}
+    for e in m.states:
+        text = name[e] = render_state(e)
+        if owner.setdefault(text, e) != e:
+            raise DuplicateName("states %r and %r both render as %r" % (owner[text], e, text))
+    letters = m.input.symbols
+    delta = {name[e]: {a: name[m.delta[(e, a)]] for a in letters} for e in m.states}
+    if isinstance(m, MealyMachine):
+        kind, out = "mealy", {name[e]: {a: m.out[(e, a)] for a in letters} for e in m.states}
+    else:
+        kind, out = "moore", {name[e]: m.out[e] for e in m.states}
+    doc = {"version": 1, "kind": kind, "input": list(letters), "output": list(m.output.symbols),
+           "states": list(name.values()), "delta": delta, "out": out}
+    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+
+def _flat(table, what, nested):
+    """A raw table keyed by state, checked for shape and flattened to
+    (state, letter) keys if nested, with the reader's error messages."""
+    if not isinstance(table, abc.Mapping):
+        raise MissingEntry("%s must be a table keyed by state" % what)
+    flat = {}
+    for e, row in table.items():
+        if not nested:
+            if isinstance(row, abc.Mapping):
+                raise MissingEntry("%s[%r]: a Moore output table maps states to letters" % (what, e))
+            flat[e] = row
+        elif not isinstance(row, abc.Mapping):
+            raise MissingEntry("%s[%r] must be a per-letter table" % (what, e))
+        else:
+            flat.update(((e, a), v) for a, v in row.items())
+    return flat
+
+
+def validate_flat(raw, kind):
+    """A raw description read as the first reader did: the alphabets and
+    the state list checked, then the nested rows flattened to (state,
+    letter) tables and handed to the public constructor of ``kind``."""
+    alphabets = []
+    for field in ("input", "output"):
+        symbols = raw.get(field)
+        if not isinstance(symbols, (list, tuple)):
+            raise MissingEntry("%s alphabet must be a list of symbols" % field)
+        alphabets.append(Alphabet(field, tuple(str(s) for s in symbols)))
+    states = raw.get("states")
+    if not isinstance(states, (list, tuple)):
+        raise MissingEntry("states must be a list")
+    delta = _flat(raw.get("delta", {}), "delta", True)
+    out = _flat(raw.get("out", {}), "out", kind is MealyMachine)
+    return kind(*alphabets, tuple(states), delta, out)

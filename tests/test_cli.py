@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from mealymoore import (
     MooreMachine,
     __version__,
     cli,
+    compose_cells,
     load_machine,
     moorify,
     save_machine,
@@ -20,8 +22,10 @@ from mealymoore import (
     universal_u,
 )
 from mealymoore.cli import _parse_word, main
+from mealymoore.generate import random_mealy
 
 from conftest import BITS, make_cpar, make_par
+from oracles import machine_text
 
 
 @pytest.fixture
@@ -265,6 +269,34 @@ class TestCompose:
             "delta": {"s": {"a": "s"}}, "out": {"s": {"a": "a"}},
         }))
         assert main(["compose", str(three), files["par"]]) == 2
+
+
+def test_written_files_match_the_oracle(tmp_path, capsys):
+    # compose -o into a 48-state composite, compose that file again into
+    # nested names, then validate and moorify the result: every file the
+    # CLI writes is what json.dumps prints for the in-memory machine.
+    rng = random.Random(19)
+    first, second, third = (random_mealy(rng, BITS, BITS, n) for n in (8, 6, 2))
+    paths = {}
+    for name, m in (("first", first), ("second", second), ("third", third)):
+        paths[name] = str(tmp_path / ("%s.machine" % name))
+        save_machine(m, paths[name])
+        assert Path(paths[name]).read_text(encoding="utf-8") == machine_text(m)
+    inner = compose_cells(second, first)
+    nested = compose_cells(third, inner)
+    steps = [
+        (["compose", paths["second"], paths["first"]], "inner", inner),
+        (["compose", paths["third"], str(tmp_path / "inner.machine")], "nested", nested),
+        (["transform", "moorify", str(tmp_path / "nested.machine")], "moorified", moorify(nested)),
+    ]
+    for argv, name, m in steps:
+        out = tmp_path / ("%s.machine" % name)
+        assert main(argv + ["-o", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == machine_text(m)
+    assert len(inner.states) == 48 and "⟨s0,⟨s5,s7⟩⟩" in load_machine(tmp_path / "nested.machine").states
+    capsys.readouterr()
+    assert main(["validate", str(tmp_path / "nested.machine")]) == 0
+    assert capsys.readouterr().out == "valid: mealy, 96 states\n"
 
 
 class TestTransform:

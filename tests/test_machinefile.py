@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -7,10 +8,12 @@ from mealymoore import (
     Alphabet,
     DuplicateName,
     MachineFileSyntaxError,
+    MealyMachine,
     MooreMachine,
     MissingEntry,
     UnknownSymbol,
     VersionMismatch,
+    compose_cells,
     compose_mealy,
     load_machine,
     machine_from_raw,
@@ -19,8 +22,13 @@ from mealymoore import (
     render_state,
     save_machine,
     serialize_machine,
+    validate_mealy,
+    validate_moore,
 )
 from mealymoore.generate import random_mealy, random_moore
+
+from conftest import BITS
+from oracles import machine_text, validate_flat
 
 
 def doc_for(m):
@@ -130,3 +138,204 @@ class TestShapeErrors:
         doc["out"]["q0"]["0"] = "7"
         with pytest.raises(UnknownSymbol):
             machine_from_raw(parse_machine_text(json.dumps(doc)))
+
+
+# State names that json must escape, or that render_state's brackets and
+# commas make ambiguous: composites of them sometimes collide.
+NAMES = ("q", "a", "b", "a,b", "b,a", 'say "hi"', "back\\slash", "tab\there", "ñé",
+         "⟨x,y⟩", "日本", "%s%%", "")
+ODD = Alphabet("odd", ("%s", 'q"', "é\t"))
+INTS = Alphabet("ints", (0, 1, 7))
+
+
+def named_machine(rng, mealy, inp, outp, n):
+    """A machine of n states named from NAMES, built by the public constructor."""
+    states = tuple(rng.sample(NAMES, n))
+    delta = {(e, a): rng.choice(states) for e in states for a in inp.symbols}
+    if mealy:
+        out = {(e, a): rng.choice(outp.symbols) for e in states for a in inp.symbols}
+        return MealyMachine(inp, outp, states, delta, out)
+    return MooreMachine(inp, outp, states, delta, {e: rng.choice(outp.symbols) for e in states})
+
+
+def writer_cases(seed):
+    """A machine of 1-9 states, then composites of it 2 and 3 deep; the
+    alphabets are strings, some that json escapes, or Python ints."""
+    rng = random.Random(seed)
+    a, b, c = (rng.choice((BITS, ODD, INTS)) for _ in range(3))
+    factors = []
+    for inp, outp, top in ((a, b, 9), (b, c, 4), (c, a, 3)):
+        mealy, n = rng.random() < 0.5, rng.randint(1, top)
+        if rng.random() < 0.5:
+            factors.append(named_machine(rng, mealy, inp, outp, n))
+        else:
+            factors.append((random_mealy if mealy else random_moore)(rng, inp, outp, n))
+    first, second, third = factors
+    two = compose_cells(second, first)
+    yield first
+    yield two
+    # A composite rebuilt by the public constructor keeps its tuple states.
+    yield type(two)(two.input, two.output, two.states, two.delta, two.out)
+    yield compose_cells(third, two)
+
+
+def assert_same_collision(m, expected):
+    with pytest.raises(DuplicateName) as got:
+        serialize_machine(m)
+    assert str(got.value) == str(expected)
+
+
+class TestWriterOracle:
+    def test_matches_json_dumps(self):
+        written = 0
+        for seed in range(600):
+            for m in writer_cases(seed):
+                try:
+                    expected = machine_text(m)
+                except DuplicateName as err:
+                    assert_same_collision(m, err)
+                    continue
+                text = serialize_machine(m)
+                assert text == expected
+                assert machine_to_raw(m) == json.loads(text)
+                written += 1
+        assert written >= 2000
+
+    def test_collisions_named_like_the_oracle(self):
+        one = Alphabet("one", ("x",))
+
+        def loops(*states):
+            return MooreMachine(one, one, states, {(e, "x"): e for e in states},
+                                {e: "x" for e in states})
+
+        # ("a", "b,c") and ("a,b", "c") both render as ⟨a,b,c⟩.
+        two = compose_cells(loops("a", "a,b"), loops("b,c", "c"))
+        for m in (two, compose_cells(loops("z", "y"), two), compose_cells(two, loops("w")),
+                  MooreMachine(one, one, two.states, two.delta, two.out)):
+            with pytest.raises(DuplicateName) as err:
+                machine_text(m)
+            assert_same_collision(m, err.value)
+
+    def test_tuple_output_symbols(self):
+        # A symbol built in Python may be a tuple; json indents it by depth.
+        pairs = Alphabet("pairs", ((1, (2, ())), (), "x"))
+        rng = random.Random(3)
+        for mealy in (True, False):
+            m = named_machine(rng, mealy, BITS, pairs, 3)
+            assert serialize_machine(m) == machine_text(m)
+
+    def test_unusable_letter_refused_like_json(self):
+        pairs = Alphabet("pairs", ((0, 1),))
+        m = MooreMachine(pairs, BITS, ("s",), {("s", (0, 1)): "s"}, {"s": "0"})
+        with pytest.raises(TypeError) as got:
+            serialize_machine(m)
+        with pytest.raises(TypeError) as expected:
+            machine_text(m)
+        assert str(got.value) == str(expected.value)
+
+
+def outcome(fn, *args):
+    """(machine, None) or (None, (error type, message))."""
+    try:
+        return fn(*args), None
+    except Exception as err:  # noqa: BLE001 - the type is what is compared
+        return None, (type(err), str(err))
+
+
+def _row(doc, table="delta"):
+    return doc[table][doc["states"][0]]
+
+
+class _Lookalike:
+    """A row indexable by letter that is not a Mapping."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def __len__(self):
+        return len(self.row)
+
+    def __getitem__(self, letter):
+        return self.row[letter]
+
+
+def _duplicate_keeping_rows(doc):
+    """Rename the last state to the first, keeping its row and the row
+    count, so that only the repeated name is wrong."""
+    states = doc["states"]
+    last, states[-1] = states[-1], states[0]
+    for row in doc["delta"].values():
+        row.update((a, states[0]) for a, t in row.items() if t == last)
+
+
+MUTATIONS = {
+    "missing-row": lambda d: d["delta"].pop(d["states"][-1]),
+    "missing-out-row": lambda d: d["out"].pop(d["states"][-1]),
+    "extra-row": lambda d: d["delta"].__setitem__("zz", dict(_row(d))),
+    "extra-out-row": lambda d: d["out"].__setitem__("zz", _row(d, "out")),
+    "missing-letter": lambda d: _row(d).pop(d["input"][0]),
+    "extra-letter": lambda d: _row(d).__setitem__("zz", d["states"][0]),
+    "renamed-letter": lambda d: _row(d).__setitem__("zz", _row(d).pop(d["input"][0])),
+    "undeclared-target": lambda d: _row(d).__setitem__(d["input"][0], "nowhere"),
+    "list-target": lambda d: _row(d).__setitem__(d["input"][0], [d["states"][0]]),
+    "undeclared-output": lambda d: d["out"].__setitem__(d["states"][0], "7"),
+    "dict-output": lambda d: d["out"].__setitem__(d["states"][0], {d["input"][0]: "0"}),
+    "list-row": lambda d: d["delta"].__setitem__(d["states"][0], list(_row(d).values())),
+    "row-not-a-mapping": lambda d: d["delta"].__setitem__(d["states"][0], _Lookalike(_row(d))),
+    "list-out-row": lambda d: d["out"].__setitem__(d["states"][0], ["0"]),
+    "duplicate-states": lambda d: d["states"].append(d["states"][0]),
+    "empty-states": lambda d: d["states"].clear(),
+    "no-states-no-rows": lambda d: [d[f].clear() for f in ("states", "delta", "out")],
+    "duplicate-state-keeping-rows": _duplicate_keeping_rows,
+    "states-not-a-list": lambda d: d.__setitem__("states", d["states"][0]),
+    "list-state": lambda d: d["states"].__setitem__(0, [d["states"][0]]),
+    "missing-delta": lambda d: d.pop("delta"),
+    "missing-out": lambda d: d.pop("out"),
+    "delta-not-a-table": lambda d: d.__setitem__("delta", []),
+}
+
+
+class TestReaderEquivalence:
+    """The walk into the index form gives the public constructor's
+    machine, or its error, on every document."""
+
+    @staticmethod
+    def documents():
+        rng = random.Random(41)
+        for i in range(40):
+            mealy = i % 2 == 0
+            inp, outp = Alphabet("i", ("0", "1", "2")[:1 + i % 3]), BITS
+            m = named_machine(rng, mealy, inp, outp, rng.randint(1, 6))
+            yield (validate_mealy if mealy else validate_moore), json.loads(serialize_machine(m))
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_same_error(self, mutation):
+        failed = 0
+        for validate, doc in self.documents():
+            raw = copy.deepcopy(doc)
+            MUTATIONS[mutation](raw)
+            kind = MealyMachine if validate is validate_mealy else MooreMachine
+            got, expected = outcome(validate, raw), outcome(validate_flat, raw, kind)
+            assert got[1] == expected[1]
+            assert got[0] == expected[0]
+            failed += got[1] is not None
+        assert failed > 0
+
+    def test_valid_documents(self):
+        for validate, doc in self.documents():
+            kind = MealyMachine if validate is validate_mealy else MooreMachine
+            raw = copy.deepcopy(doc)
+            m, twin = validate(raw), validate_flat(doc, kind)
+            assert m == twin
+            assert dict(m.delta) == dict(twin.delta) and dict(m.out) == dict(twin.out)
+            key = next(iter(m.delta))
+            with pytest.raises(TypeError):
+                m.delta[key] = key[0]
+            with pytest.raises(TypeError):
+                m.out[next(iter(m.out))] = "0"
+            for row in raw["delta"].values():
+                for a in row:
+                    row[a] = "mutated"
+            raw["states"].reverse()
+            raw["out"].clear()
+            assert m == twin and dict(m.delta) == dict(twin.delta) and dict(m.out) == dict(twin.out)
