@@ -2,12 +2,21 @@
 
 Exit codes: 0 for success / a law that holds, 1 for a violated law or a
 FAILURE report, 2 for usage and validation errors.
+
+``build_parser`` is the one declaration of the grammar.  While it
+declares the parser it records, for each command's words, the actions
+``add_argument`` returns and the handler.  A request in plain form, the
+command words, its positionals, then exact flags each followed by one
+value, is read straight from that record into the Namespace argparse
+would build.  Every other argv goes to argparse, which alone writes
+help, usage and error text.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from . import __version__
@@ -67,7 +76,7 @@ def _parse_word(text, alphabet):
         return tuple(parts)
     if text in alphabet.symbols:
         return (text,)
-    if all(ch in alphabet.symbols for ch in text):
+    if set(text).issubset(alphabet.symbols):
         return tuple(text)
     return (text,)
 
@@ -93,8 +102,9 @@ def _cmd_run(args):
     m = load_machine(args.file)
     word = _parse_word(args.word, m.input)
     p = PointedMachine(m, args.start)
-    print("final: %s" % run(p, word))
-    print("trace: %s" % " ".join(trace(p, word)))
+    outputs = trace(p, word)  # the last is the final output; run raises on an empty Mealy word
+    print("final: %s" % (outputs[-1] if outputs else run(p, word)))
+    print("trace: %s" % " ".join(outputs))
     return 0
 
 
@@ -251,78 +261,111 @@ def _cmd_unitize_demo(args):
     return 0 if ok else 1
 
 
+# The fewest and most tokens a positional takes, by nargs; an int n is (n, n).
+_ARITY = {None: (1, 1), "?": (0, 1), "*": (0, math.inf)}
+
+
+class _Command:
+    """A leaf command's subparser, and what its plain requests need: the
+    positionals in order with their token counts, the flags that take
+    one value, the required flags and the Namespace defaults."""
+
+    def __init__(self, parser, depth, defaults):
+        self.parser, self.depth, self.defaults = parser, depth, defaults
+        self.positionals, self.flags, self.required = [], {}, []
+        self.least = 0  # the fewest positional tokens
+
+    def add_argument(self, *args, **kwargs):
+        action = self.parser.add_argument(*args, **kwargs)
+        self.defaults[action.dest] = action.default
+        if not action.option_strings:
+            least, most = _ARITY.get(action.nargs) or (action.nargs, action.nargs)
+            self.positionals.append((action, least, most))
+            self.least += least
+        elif action.nargs is None:
+            self.flags.update(dict.fromkeys(action.option_strings, action))
+        if action.required and action.option_strings:
+            self.required.append(action)
+        return action
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mealymoore",
         description="Compose, run, transform, and law-check Mealy and Moore machines.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    levels = {(): parser.add_subparsers(dest="command", required=True)}
+    # Every leaf command by its words, as _plain_args reads it; the
+    # attribute is this module's own, not argparse's.
+    commands = parser._plain_commands = {}
 
-    p = sub.add_parser("validate", help="validate a machine file")
+    def command(words, func, **kwargs):
+        leaf = levels[words[:-1]].add_parser(words[-1], **kwargs)
+        leaf.set_defaults(func=func)
+        fixed = {levels[words[:i]].dest: word for i, word in enumerate(words)}
+        commands[words] = _Command(leaf, len(words), dict(fixed, func=func))
+        return commands[words]
+
+    p = command(("validate",), _cmd_validate, help="validate a machine file")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("run", help="run a machine on a word")
+    p = command(("run",), _cmd_run, help="run a machine on a word")
     p.add_argument("file")
     p.add_argument("--start", required=True)
     p.add_argument("--word", required=True)
-    p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("compose", help="compose SECOND after FIRST")
+    p = command(("compose",), _cmd_compose, help="compose SECOND after FIRST")
     p.add_argument("second")
     p.add_argument("first")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_compose)
 
-    p = sub.add_parser("transform", help="apply a conversion functor or build a universal cell")
+    p = command(("transform",), _cmd_transform,
+                help="apply a conversion functor or build a universal cell")
     p.add_argument("op", choices=["embed-j", "d1", "moorify", "decapitate", "u", "p"])
     p.add_argument("file", nargs="?")
     p.add_argument("--alphabet", help="symbols for u/p, e.g. '0,1'")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("check", help="check a law; exit 1 if it fails")
-    csub = p.add_subparsers(dest="law", required=True)
-    c = csub.add_parser("soft")
+    p = levels[()].add_parser("check", help="check a law; exit 1 if it fails")
+    levels[("check",)] = p.add_subparsers(dest="law", required=True)
+    c = command(("check", "soft"), _cmd_check)
     c.add_argument("files", nargs=1)
-    c = csub.add_parser("n-soft")
+    c = command(("check", "n-soft"), _cmd_check)
     c.add_argument("n", type=int)
     c.add_argument("files", nargs=1)
-    c = csub.add_parser("extension-square")
+    c = command(("check", "extension-square"), _cmd_check)
     c.add_argument("maxlen", type=int)
     c.add_argument("files", nargs=1)
-    c = csub.add_parser("counit")
+    c = command(("check", "counit"), _cmd_check)
     c.add_argument("files", nargs=1)
-    c = csub.add_parser("j-compat")
+    c = command(("check", "j-compat"), _cmd_check)
     c.add_argument("files", nargs=2, metavar=("DOWNSTREAM", "UPSTREAM"))
-    c = csub.add_parser("pentagon")
+    c = command(("check", "pentagon"), _cmd_check)
     c.add_argument("files", nargs="*", metavar="FILE")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("homs", help="enumerate all homomorphisms FIRST → SECOND")
+    p = command(("homs",), _cmd_homs, help="enumerate all homomorphisms FIRST → SECOND")
     p.add_argument("first")
     p.add_argument("second")
-    p.set_defaults(func=_cmd_homs)
 
-    p = sub.add_parser("adjunction", help="verify the one-step adjunction bijection")
+    p = command(("adjunction",), _cmd_adjunction,
+                help="verify the one-step adjunction bijection")
     p.add_argument("moore")
     p.add_argument("mealy")
-    p.set_defaults(func=_cmd_adjunction)
 
-    p = sub.add_parser("correspondence", help="measure the decapitation correspondence")
+    p = command(("correspondence",), _cmd_correspondence,
+                help="measure the decapitation correspondence")
     p.add_argument("moore")
     p.add_argument("mealy")
-    p.set_defaults(func=_cmd_correspondence)
 
-    p = sub.add_parser("search-identity", help="exhaustively search for a Moore identity cell")
+    p = command(("search-identity",), _cmd_search_identity,
+                help="exhaustively search for a Moore identity cell")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--max-states", type=int, default=2)
     p.add_argument("--probe", action="append")
-    p.set_defaults(func=_cmd_search_identity)
 
-    p = sub.add_parser("unitize-demo", help="exercise the unitized structure on fixture cells")
-    p.set_defaults(func=_cmd_unitize_demo)
+    command(("unitize-demo",), _cmd_unitize_demo,
+            help="exercise the unitized structure on fixture cells")
 
     return parser
 
@@ -334,8 +377,70 @@ def _parser():
     return build_parser()
 
 
+def _value(action, token):
+    """token converted and checked as argparse does; raises where it errs."""
+    value = token if action.type is None else action.type(token)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError("invalid choice")
+    return value
+
+
+def _values(action, tokens):
+    """What argparse passes to a positional ``action`` for ``tokens``."""
+    if action.nargs is None or action.nargs == "?" and tokens:
+        return _value(action, tokens[0])
+    if tokens or action.nargs == "*" and action.default is None:
+        return [_value(action, token) for token in tokens]
+    return action.default  # "?" or "*" given no token
+
+
+def _plain_args(commands, argv):
+    """The Namespace parse_args(argv) returns, read straight from the
+    recorded grammar, when argv is in plain form: the command words, its
+    positionals, then exact flags, each followed by one value that does
+    not start with "-".  None for any other argv, and for every argv that
+    argparse refuses, so that argparse alone writes help and error text."""
+    command = commands.get(tuple(argv[:1])) or commands.get(tuple(argv[:2]))
+    if command is None:
+        return None
+    rest = argv[command.depth:]
+    split = 0
+    while split < len(rest) and not rest[split].startswith("-"):
+        split += 1
+    tokens, options = rest[:split], rest[split:]
+    if len(options) % 2:
+        return None
+    free = len(tokens) - command.least
+    if free < 0:
+        return None
+    args = argparse.Namespace()
+    vars(args).update(command.defaults)
+    try:
+        at = 0
+        for action, least, most in command.positionals:
+            take = min(most, least + free)
+            free -= take - least
+            action(command.parser, args, _values(action, tokens[at:at + take]))
+            at += take
+        if free:
+            return None
+        seen = set()
+        for flag, token in zip(options[::2], options[1::2]):
+            action = command.flags.get(flag)
+            if action is None or token.startswith("-"):
+                return None
+            action(command.parser, args, _value(action, token), flag)
+            seen.add(action)
+    except Exception:  # a type or choice argparse refuses: it names the fault
+        return None
+    return args if seen.issuperset(command.required) else None
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = _plain_args(parser._plain_commands, sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (MachineError, OSError) as err:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .compose import ltimes, rtimes
+from .compose import ltimes
 from .core import (
     ENUMERATION_GUARD,
     Alphabet,
@@ -227,14 +227,14 @@ class IdentitySearchReport:
     __hash__ = None
 
 
-def _pointwise_identity(composite, probe, u_stride, e_stride):
+def _pointwise_identity(composite, probe):
     """Is every probe state e bisimilar to the state (u, e) of
-    J(composite) for some candidate state u?  One refinement of
-    J(composite) ⊔ probe answers every pair; (u, e) has index
-    u·u_stride + e·e_stride in the composite (see ``compose_cells``)."""
+    J(composite) = J(U⋄probe) for some candidate state u?  One refinement
+    of J(composite) ⊔ probe answers every pair; (u, e) has index
+    u·|probe| + e in the composite (see ``compose_cells``)."""
     block, shift = _blocks(embed_j(composite), probe), composite._n
     units = range(shift // probe._n)
-    return all(any(block[u * u_stride + e * e_stride] == block[shift + e] for u in units)
+    return all(any(block[u * probe._n + e] == block[shift + e] for u in units)
                for e in range(probe._n))
 
 
@@ -245,7 +245,16 @@ def search_moore_identity(
     and test whether U⋄m and m⋄U are bisimilar to m pointwise for every
     probe m.  The survivor list is expected to be empty whenever some
     probe has a letter-dependent output table.  With no probe nothing
-    would be checked, so an empty probe list raises."""
+    would be checked, so an empty probe list raises.
+
+    Only U⋄m is built: once it passes, m⋄U passes too.  At each step
+    U⋄m from (u, e) emits U's current output, and U's state is fixed by
+    u and m's earlier outputs.  Where (u, e) is bisimilar to e those
+    outputs are m's own, so each output of m from e is fixed by m's
+    earlier outputs: m emits one stream from e, whatever the input word.
+    m⋄U from (e, u) feeds m some word, so it emits that same stream for
+    every u.  A candidate thus fails only in the "post-composition"
+    direction."""
     if max_states < 1:
         raise MachineError("max_states must be ≥ 1")
     if not probes:
@@ -257,11 +266,8 @@ def search_moore_identity(
         checked += 1
         failed = None
         for p_idx, probe in enumerate(probes):
-            if not _pointwise_identity(ltimes(candidate, probe), probe, probe._n, 1):
+            if not _pointwise_identity(ltimes(candidate, probe), probe):
                 failed = (idx, p_idx, "post-composition")
-                break
-            if not _pointwise_identity(rtimes(probe, candidate), probe, 1, candidate._n):
-                failed = (idx, p_idx, "pre-composition")
                 break
         if failed is None:
             survivors.append(candidate)

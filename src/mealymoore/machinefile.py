@@ -66,6 +66,8 @@ def parse_machine_text(text: str) -> dict:
         raise MachineFileSyntaxError("line %d: %s" % (err.lineno, err.msg)) from err
     except RecursionError as err:
         raise MachineFileSyntaxError("JSON nested too deeply") from err
+    except ValueError as err:  # an integer longer than int() converts
+        raise MachineFileSyntaxError(str(err)) from err
     if not isinstance(doc, dict):
         raise MachineFileSyntaxError("a machine file holds a single JSON object")
     version = doc.get("version")

@@ -2,11 +2,12 @@ import contextlib
 import io
 import json
 import random
+import shlex
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mealymoore import (
     Alphabet,
@@ -118,6 +119,18 @@ def test_bad_file_is_bad_input(tmp_path, capsys, command, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_huge_integer_is_bad_input(tmp_path, capsys):
+    # 5000 digits: where int() limits its input, json.loads raises a bare
+    # ValueError; elsewhere the document lacks its alphabets.  Both exit 2.
+    path = tmp_path / "huge.machine"
+    path.write_text('{"version": 1, "kind": "moore", "states": [%s]}' % ("9" * 5000))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def _with_delta_target(text):
@@ -509,3 +522,94 @@ def test_parser_is_built_once_and_shared(files, monkeypatch, capsys):
     assert exc.value.code == 0
     assert capsys.readouterr().out == __version__ + "\n"
     assert len(built) == 1
+
+
+# The plain parse against argparse: every argv the plain parse reads must
+# parse to the same Namespace, and every argv argparse refuses must go to it.
+PARSER = cli.build_parser()
+COMMANDS = PARSER._plain_commands
+TOKEN_KINDS = (
+    ["f", "q0", "101", "3", "two", "moorify", "u", "bad"],
+    sorted({flag for command in COMMANDS.values() for flag in command.flags}),
+    ["-", "--", "-1", "--wo", "--word=1", "-h", "", " 3"],
+)
+
+
+def _argparse_vars(argv):
+    """vars(parse_args(argv)), or None where argparse refuses argv."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+WORDS = sorted(COMMANDS) + [(), ("",), ("nope",), ("-h",), ("--version",)]
+
+
+@st.composite
+def requests(draw):
+    """Command words, then 0-6 tokens drawn from TOKEN_KINDS; or, half
+    the time, a command's positionals, its required flags and some more,
+    each with a value, and sometimes one more token put in somewhere."""
+    words = draw(st.sampled_from(WORDS))
+    token = st.one_of(*map(st.sampled_from, TOKEN_KINDS))
+    if words not in COMMANDS or draw(st.booleans()):
+        return list(words) + draw(st.lists(token, max_size=6))
+    command, value = COMMANDS[words], st.sampled_from(TOKEN_KINDS[0])
+    tokens = draw(st.lists(value, min_size=command.least, max_size=command.least + 1))
+    flags = [action.option_strings[-1] for action in command.required]
+    if command.flags:
+        flags += draw(st.lists(st.sampled_from(sorted(command.flags)), max_size=2))
+    for flag in draw(st.permutations(flags)):
+        tokens += [flag, draw(value)]
+    if draw(st.integers(0, 2)) == 0:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.one_of(value, token)))
+    return list(words) + tokens
+
+
+@settings(max_examples=1500, deadline=None)
+@given(requests())
+@example(["transform", "moorify", "--alphabet", "u", "f"])  # "?" took nothing before the flag
+@example(["run", "f", "--wo", "101", "--start", "q0"])
+@example(["check", "n-soft", "two", "f"])
+@example(["search-identity", "--alphabet", "u", "--probe", "f", "--probe", "q0"])
+def test_plain_parse_agrees_with_argparse(argv):
+    plain = cli._plain_args(COMMANDS, argv)
+    if plain is not None:
+        assert vars(plain) == _argparse_vars(argv)
+
+
+def _readme_requests():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("mealymoore ")]
+
+
+# One request of each shape the cli-files benchmark sends.
+BENCHMARK_REQUESTS = [
+    ["validate", "f"],
+    ["run", "f", "--start", "s0", "--word", "0110"],
+    ["compose", "f", "g", "-o", "fg"],
+    ["transform", "decapitate", "f"],
+    ["check", "soft", "f"],
+    ["check", "n-soft", "3", "f"],
+    ["check", "extension-square", "4", "f"],
+    ["check", "counit", "f"],
+    ["check", "j-compat", "f", "g"],
+    ["homs", "f", "g"],
+    ["adjunction", "f", "g"],
+]
+
+
+@pytest.mark.parametrize("argv", _readme_requests() + BENCHMARK_REQUESTS, ids=" ".join)
+def test_plain_requests_are_read_from_the_grammar(argv):
+    plain = cli._plain_args(COMMANDS, argv)
+    assert plain is not None and vars(plain) == _argparse_vars(argv)
+
+
+def test_main_reads_plain_requests_without_argparse(files, monkeypatch, capsys):
+    monkeypatch.setattr(cli._parser(), "parse_args", None)
+    assert main(["validate", files["par"]]) == 0
+    assert main(["run", files["par"], "--start", "q0", "--word", "101"]) == 0
+    assert capsys.readouterr().out == "valid: mealy, 2 states\nfinal: 0\ntrace: 1 1 0\n"

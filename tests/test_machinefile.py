@@ -1,12 +1,14 @@
 import copy
 import json
 import random
+import sys
 
 import pytest
 
 from mealymoore import (
     Alphabet,
     DuplicateName,
+    MachineError,
     MachineFileSyntaxError,
     MealyMachine,
     MooreMachine,
@@ -112,6 +114,31 @@ class TestParseErrors:
         doc["comment"] = "not allowed"
         with pytest.raises(MachineFileSyntaxError):
             parse_machine_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("path", [("version",), ("states", 0), ("delta", "q0", "0")])
+    def test_huge_integer(self, par, path):
+        # Where int() refuses a 5000-digit string, json.loads raises a bare
+        # ValueError; without that limit the number parses and is refused
+        # as a version, a state or a delta target.  Either way it is a
+        # MachineError.  Both cases run where the limit can be lifted.
+        doc = doc_for(par)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = "HOLE"
+        text = json.dumps(doc).replace('"HOLE"', "9" * 5000)
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        default = get_limit() if get_limit else 0
+        try:
+            for limit in {default, 0} if get_limit else {0}:
+                if get_limit:
+                    sys.set_int_max_str_digits(limit)
+                expected = MachineFileSyntaxError if 0 < limit < 5000 else MachineError
+                with pytest.raises(expected):
+                    machine_from_raw(parse_machine_text(text))
+        finally:
+            if get_limit:
+                sys.set_int_max_str_digits(default)
 
     def test_bad_kind(self, par):
         doc = doc_for(par)
