@@ -340,7 +340,8 @@ def build_parser():
     c = command(("check", "counit"), _cmd_check)
     c.add_argument("files", nargs=1)
     c = command(("check", "j-compat"), _cmd_check)
-    c.add_argument("files", nargs=2, metavar=("DOWNSTREAM", "UPSTREAM"))
+    c.add_argument("files", nargs=2, metavar="FILE",
+                   help="the downstream machine file, then the upstream one")
     c = command(("check", "pentagon"), _cmd_check)
     c.add_argument("files", nargs="*", metavar="FILE")
 

@@ -200,14 +200,32 @@ def check_counit(m: MealyMachine) -> bool:
     return is_homomorphism(StateMap._trusted(src, m, tuple(range(m._n)) * len(m.output.symbols)))
 
 
+# (source, target, moorify(source), moorify(target)) of the last call.
+# The keys are held strongly, so their ids cannot be reused while here;
+# it is read and replaced whole, so a race between threads can cost a
+# rebuild, never a wrong image.
+_moorified = (None, None, None, None)
+
+
 def check_moorify_functorial(phi: StateMap) -> bool:
     """True iff (b, e) ↦ (b, φ(e)) is a Moore homomorphism between the
-    moorifications of φ's endpoints."""
+    moorifications of φ's endpoints.
+
+    Every call checks that φ is a homomorphism and checks the lifted map.
+    The two moorifications are reused from the previous call when its
+    endpoints were the very same objects, as they are for consecutive
+    homs of one hom-set; the slot keeps at most two machines and their
+    two images alive until a call with other endpoints."""
+    global _moorified
     if not is_homomorphism(phi):
         raise NotAHomomorphism("moorify is only functorial on homomorphisms")
-    src = moorify(phi.source)
-    tgt = moorify(phi.target)
-    b_count, width = len(phi.source.output.symbols), phi.target._n  # (b, e) is b·width + e
+    source, target, src, tgt = _moorified
+    if source is not phi.source or target is not phi.target:
+        source, target = phi.source, phi.target
+        src = moorify(source)
+        tgt = src if target is source else moorify(target)
+        _moorified = (source, target, src, tgt)
+    b_count, width = len(source.output.symbols), target._n  # (b, e) is b·width + e
     lifted = tuple(b * width + t for b in range(b_count) for t in phi._img)
     return is_homomorphism(StateMap._trusted(src, tgt, lifted))
 

@@ -11,6 +11,8 @@ Unknown top-level fields are rejected.  Serialization renders composite
 machines stay auditable; parse(serialize(m)) == m for machines whose
 states are plain names.  Distinct states that render to one name, such
 as ("a", "b,c") and ("a,b", "c"), are refused: the file would not load.
+So is an input or output symbol that is not a string, such as a number
+of an alphabet built in Python: the file holds strings only.
 The writer renders the text from the index form, as json.dumps(doc,
 ensure_ascii=False, indent=2) prints it; ``machine_to_raw`` is that text
 parsed.  The reader walks the nested rows into the index form once; a
@@ -113,21 +115,14 @@ def _names(m: Machine) -> list:
     return ["⟨%s,%s⟩" % (f, e) for f in _names(factors[0]) for e in first]
 
 
-def _value(x, pad: str) -> str:
-    """x as a JSON value, on a line indented by ``pad``, by the rules of
-    json.dumps(..., ensure_ascii=False, indent=2): a symbol of an alphabet
-    built in Python may be a number or a tuple, never a list or dict."""
-    if isinstance(x, str):
-        return encode_basestring(x)
-    if isinstance(x, tuple) and x:
-        inner = pad + "  "
-        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(_value(v, inner) for v in x), pad)
-    return json.dumps(x, ensure_ascii=False)
-
-
 def serialize_machine(m: Machine) -> str:
     """The machine file of m, rendered from the index form with each
     state name and symbol quoted once."""
+    for alphabet in (m.input, m.output):
+        for symbol in alphabet.symbols:
+            if not isinstance(symbol, str):
+                raise MachineFileError("symbol %r of alphabet %r is not a string; a machine "
+                                       "file holds strings only" % (symbol, alphabet.name))
     names = _names(m)
     if len(set(names)) < len(names):
         owner = {}
@@ -136,18 +131,15 @@ def serialize_machine(m: Machine) -> str:
                 raise DuplicateName("states %r and %r both render as %r" % (owner[text], e, text))
     q = list(map(encode_basestring, names))
     mealy = isinstance(m, MealyMachine)
-    # A non-str letter takes json's rules for keys, errors too, from a one-key object.
-    keys = [encode_basestring(a) if isinstance(a, str) else json.dumps({a: 0})[1:-4]
-            for a in m.input.symbols]
-    row = "    %%s: {\n%s\n    }" % ",\n".join("      %s: %%s" % a.replace("%", "%%") for a in keys)
-    outputs = [_value(b, "      " if mealy else "    ") for b in m.output.symbols]
+    letters = list(map(encode_basestring, m.input.symbols))
+    outputs = list(map(encode_basestring, m.output.symbols))
+    row = "    %%s: {\n%s\n    }" % ",\n".join("      %s: %%s" % a.replace("%", "%%") for a in letters)
 
     def rows(values):  # one row per state, k cells each, in index order
         values = iter(values)
-        return ",\n".join(map(row.__mod__, zip(q, *[values] * len(keys))))
+        return ",\n".join(map(row.__mod__, zip(q, *[values] * len(letters))))
 
-    listed = [",\n".join("    " + t for t in texts) for texts in (
-        [_value(a, "    ") for a in m.input.symbols], [_value(b, "    ") for b in m.output.symbols], q)]
+    listed = [",\n".join("    " + t for t in texts) for texts in (letters, outputs, q)]
     out = (rows(map(outputs.__getitem__, m._o)) if mealy
            else ",\n".join(map("    %s: %s".__mod__, zip(q, map(outputs.__getitem__, m._o)))))
     return ('{\n  "version": %d,\n  "kind": "%s",\n  "input": [\n%s\n  ],\n'

@@ -580,6 +580,20 @@ def test_plain_parse_agrees_with_argparse(argv):
         assert vars(plain) == _argparse_vars(argv)
 
 
+@pytest.mark.parametrize("extra", [[], ["-h"], ["junk"]], ids=["bare", "help", "junk"])
+@pytest.mark.parametrize("words", sorted(COMMANDS), ids=" ".join)
+def test_every_command_exits_0_or_2_without_a_traceback(words, extra, tmp_path, monkeypatch,
+                                                         capsys):
+    # An exception escaping main is a traceback and exit 1 ("law violated").
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(list(words) + extra)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _readme_requests():
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

@@ -27,11 +27,19 @@ from mealymoore import (
     is_soft,
     moorify,
     search_moore_identity,
+    universal_u,
 )
 from mealymoore import lab
 from mealymoore.generate import all_mealy_up_to, all_moore_up_to, random_mealy, random_moore
 
-from oracles import homs, letter_independent, pointwise_identity, table_hom, transposition
+from oracles import (
+    cascade_machine,
+    homs,
+    letter_independent,
+    pointwise_identity,
+    table_hom,
+    transposition,
+)
 from test_properties import alphabets, mealys, moores
 
 
@@ -235,6 +243,23 @@ class TestCounit:
         assert check_counit(m)
 
 
+def echo(bits, *rows):
+    """A Mealy machine over bits that echoes each letter; state i goes
+    to rows[i][0] on "0" and to rows[i][1] on "1"."""
+    states = tuple("s%d" % i for i in range(len(rows)))
+    delta = {(e, a): states[row[j]] for e, row in zip(states, rows) for j, a in enumerate("01")}
+    return MealyMachine(bits, bits, states, delta, {(e, a): a for e in states for a in "01"})
+
+
+def lifted_by_tables(phi):
+    """Is (b, e) ↦ (b, φ(e)) a homomorphism between the moorifications of
+    φ's endpoints, each built afresh by the cascade oracle and checked
+    against the raw tables?"""
+    u = universal_u(phi.source.output)
+    mapping = {(b, e): (b, phi.map[e]) for b in u.states for e in phi.source.states}
+    return table_hom(cascade_machine(u, phi.source), cascade_machine(u, phi.target), mapping)
+
+
 class TestMoorifyFunctorial:
     def test_identity_on_par(self, par):
         phi = StateMap(par, par, {"q0": "q0", "q1": "q1"})
@@ -253,6 +278,27 @@ class TestMoorifyFunctorial:
         assert not is_homomorphism(swap)
         with pytest.raises(NotAHomomorphism):
             check_moorify_functorial(swap)
+        # Also once the images of (par, par) are held from a previous call.
+        assert check_moorify_functorial(StateMap(par, par, {"q0": "q0", "q1": "q1"}))
+        with pytest.raises(NotAHomomorphism):
+            check_moorify_functorial(swap)
+
+    def test_interleaved_hom_sets_match_the_table_oracle(self, bits):
+        a = echo(bits, (1, 1), (1, 0), (1, 0))
+        b = echo(bits, (0, 0), (1, 1))
+        c = echo(bits, (1, 1), (1, 2), (1, 1))
+        d = echo(bits, (0, 0), (0, 0))
+        a2, b2 = (MealyMachine(m.input, m.output, m.states, m.delta, m.out) for m in (a, b))
+        assert (a2, b2) == (a, b) and a2 is not a and b2 is not b
+        # A→D follows A→B with the same source, C→D follows A→D with the
+        # same target, and C→B follows C→D with the same source: images
+        # reused by one endpoint alone would be stale there.
+        order = [(a, b), (c, d), (a, b), (a2, b2), (a, d), (c, d), (c, b), (a, a), (b2, b2)]
+        for source, target in order:
+            found = enumerate_homs(source, target).homs
+            assert found
+            for phi in found:
+                assert check_moorify_functorial(phi) == lifted_by_tables(phi)
 
 
 class TestSearchMooreIdentity:

@@ -1,14 +1,18 @@
 import copy
 import json
+import os
 import random
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mealymoore import (
     Alphabet,
     DuplicateName,
     MachineError,
+    MachineFileError,
     MachineFileSyntaxError,
     MealyMachine,
     MooreMachine,
@@ -175,9 +179,9 @@ ODD = Alphabet("odd", ("%s", 'q"', "é\t"))
 INTS = Alphabet("ints", (0, 1, 7))
 
 
-def named_machine(rng, mealy, inp, outp, n):
-    """A machine of n states named from NAMES, built by the public constructor."""
-    states = tuple(rng.sample(NAMES, n))
+def named_machine(rng, mealy, inp, outp, n, names=NAMES):
+    """A machine of n states named from names, built by the public constructor."""
+    states = tuple(rng.sample(names, n))
     delta = {(e, a): rng.choice(states) for e in states for a in inp.symbols}
     if mealy:
         out = {(e, a): rng.choice(outp.symbols) for e in states for a in inp.symbols}
@@ -187,7 +191,8 @@ def named_machine(rng, mealy, inp, outp, n):
 
 def writer_cases(seed):
     """A machine of 1-9 states, then composites of it 2 and 3 deep; the
-    alphabets are strings, some that json escapes, or Python ints."""
+    alphabets are strings, some that json escapes, or Python ints, which
+    the writer refuses."""
     rng = random.Random(seed)
     a, b, c = (rng.choice((BITS, ODD, INTS)) for _ in range(3))
     factors = []
@@ -212,11 +217,28 @@ def assert_same_collision(m, expected):
     assert str(got.value) == str(expected)
 
 
+def assert_refused(m):
+    """serialize_machine refuses m, naming its first non-str symbol, input
+    alphabet first, and that symbol's alphabet."""
+    symbol, alphabet = next((x, alphabet) for alphabet in (m.input, m.output)
+                            for x in alphabet.symbols if not isinstance(x, str))
+    with pytest.raises(MachineFileError) as got:
+        serialize_machine(m)
+    assert str(got.value).startswith("symbol %r of alphabet %r " % (symbol, alphabet.name))
+
+
 class TestWriterOracle:
     def test_matches_json_dumps(self):
-        written = 0
-        for seed in range(600):
+        # A machine with an INTS endpoint is refused; every other one is
+        # written as json.dumps prints its document.  About half are
+        # refused, hence 1,200 seeds for 2,000 written.
+        written = refused = 0
+        for seed in range(1200):
             for m in writer_cases(seed):
+                if INTS in (m.input, m.output):
+                    assert_refused(m)
+                    refused += 1
+                    continue
                 try:
                     expected = machine_text(m)
                 except DuplicateName as err:
@@ -226,7 +248,7 @@ class TestWriterOracle:
                 assert text == expected
                 assert machine_to_raw(m) == json.loads(text)
                 written += 1
-        assert written >= 2000
+        assert written >= 2000 and refused >= 1000
 
     def test_collisions_named_like_the_oracle(self):
         one = Alphabet("one", ("x",))
@@ -243,22 +265,68 @@ class TestWriterOracle:
                 machine_text(m)
             assert_same_collision(m, err.value)
 
-    def test_tuple_output_symbols(self):
-        # A symbol built in Python may be a tuple; json indents it by depth.
-        pairs = Alphabet("pairs", ((1, (2, ())), (), "x"))
+    def test_non_str_symbols_refused(self, tmp_path):
+        # The file holds strings: a symbol built in Python as a number or
+        # a tuple would load back as another symbol, or not at all.
+        pairs = Alphabet("pairs", ("x", (1, (2, ())), ()))
         rng = random.Random(3)
-        for mealy in (True, False):
-            m = named_machine(rng, mealy, BITS, pairs, 3)
-            assert serialize_machine(m) == machine_text(m)
+        machines = [named_machine(rng, mealy, BITS, pairs, 3) for mealy in (True, False)]
+        machines.append(MooreMachine(Alphabet("pairs", ((0, 1),)), BITS, ("s",),
+                                     {("s", (0, 1)): "s"}, {"s": "0"}))
+        machines.append(random_moore(rng, INTS, BITS, 2))
+        for m in machines:
+            assert_refused(m)
+            with pytest.raises(MachineFileError):
+                save_machine(m, tmp_path / "m.machine")
+            assert not (tmp_path / "m.machine").exists()
 
-    def test_unusable_letter_refused_like_json(self):
-        pairs = Alphabet("pairs", ((0, 1),))
-        m = MooreMachine(pairs, BITS, ("s",), {("s", (0, 1)): "s"}, {"s": "0"})
-        with pytest.raises(TypeError) as got:
-            serialize_machine(m)
-        with pytest.raises(TypeError) as expected:
-            machine_text(m)
-        assert str(got.value) == str(expected.value)
+
+# Names and symbols that json escapes or that the writer's own "%"
+# formatting must keep; composites of SAFE names never collide.
+SAFE = tuple(name for name in NAMES if not set(name) & set(",⟨⟩"))
+STR_SYMBOLS = st.one_of(st.sampled_from(("0", "a,b", 'q"', "%s", "%%", "é\t", "日本", "")),
+                        st.text(max_size=3))
+NON_STR_SYMBOLS = st.one_of(st.integers(-3, 3), st.tuples(st.integers(0, 2)), st.just(()))
+
+
+@st.composite
+def symbol_alphabets(draw):
+    """1-3 str symbols; one time in four, ints and tuples may join them."""
+    symbol = STR_SYMBOLS if draw(st.integers(0, 3)) else st.one_of(STR_SYMBOLS, NON_STR_SYMBOLS)
+    return Alphabet("drawn", tuple(draw(st.lists(symbol, min_size=1, max_size=3, unique=True))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(symbol_alphabets(), min_size=3, max_size=3), st.booleans(), st.integers(0, 2**32))
+def test_file_round_trip_over_drawn_alphabets(alphabets, composite, seed):
+    a, mid, b = alphabets
+    rng = random.Random(seed)
+    if composite:
+        first = named_machine(rng, rng.random() < 0.5, a, mid, rng.randint(1, 3), SAFE)
+        m = compose_cells(named_machine(rng, rng.random() < 0.5, mid, b, rng.randint(1, 3), SAFE),
+                          first)
+    else:
+        m = named_machine(rng, rng.random() < 0.5, a, b, rng.randint(1, 4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.machine")
+        if not all(isinstance(x, str) for x in a.symbols + b.symbols):
+            assert_refused(m)
+            with pytest.raises(MachineFileError):
+                save_machine(m, path)
+            assert not os.path.exists(path)
+            return
+        save_machine(m, path)
+        loaded = load_machine(path)
+    name = {e: render_state(e) for e in m.states}
+    assert loaded.states == tuple(name.values())
+    assert loaded == type(m)(
+        m.input, m.output, loaded.states,
+        {(name[e], x): name[t] for (e, x), t in m.delta.items()},
+        {(name[k[0]], k[1]) if isinstance(m, MealyMachine) else name[k]: y
+         for k, y in m.out.items()},
+    )
+    if not composite:
+        assert loaded == m
 
 
 def outcome(fn, *args):
