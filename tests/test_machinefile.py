@@ -227,6 +227,14 @@ def assert_refused(m):
     assert str(got.value).startswith("symbol %r of alphabet %r " % (symbol, alphabet.name))
 
 
+def assert_refused_on_save(m, tmp_path):
+    """m is refused by serialize_machine and save_machine leaves no file."""
+    assert_refused(m)
+    with pytest.raises(MachineFileError):
+        save_machine(m, tmp_path / "m.machine")
+    assert not (tmp_path / "m.machine").exists()
+
+
 class TestWriterOracle:
     def test_matches_json_dumps(self):
         # A machine with an INTS endpoint is refused; every other one is
@@ -265,20 +273,26 @@ class TestWriterOracle:
                 machine_text(m)
             assert_same_collision(m, err.value)
 
-    def test_non_str_symbols_refused(self, tmp_path):
-        # The file holds strings: a symbol built in Python as a number or
-        # a tuple would load back as another symbol, or not at all.
+    def test_tuple_output_symbols(self, tmp_path):
+        # A symbol built in Python may be a tuple; the file holds strings,
+        # so it would load back as another symbol: the writer refuses it.
         pairs = Alphabet("pairs", ("x", (1, (2, ())), ()))
         rng = random.Random(3)
-        machines = [named_machine(rng, mealy, BITS, pairs, 3) for mealy in (True, False)]
-        machines.append(MooreMachine(Alphabet("pairs", ((0, 1),)), BITS, ("s",),
-                                     {("s", (0, 1)): "s"}, {"s": "0"}))
-        machines.append(random_moore(rng, INTS, BITS, 2))
-        for m in machines:
-            assert_refused(m)
-            with pytest.raises(MachineFileError):
-                save_machine(m, tmp_path / "m.machine")
-            assert not (tmp_path / "m.machine").exists()
+        for mealy in (True, False):
+            assert_refused_on_save(named_machine(rng, mealy, BITS, pairs, 3), tmp_path)
+
+    def test_unusable_letter_refused_like_json(self, tmp_path):
+        # json cannot key a table by a tuple letter; the writer refuses the
+        # machine too, with MachineFileError before json is reached.
+        pairs = Alphabet("pairs", ((0, 1),))
+        m = MooreMachine(pairs, BITS, ("s",), {("s", (0, 1)): "s"}, {"s": "0"})
+        with pytest.raises(TypeError):
+            machine_text(m)
+        assert_refused_on_save(m, tmp_path)
+
+    def test_non_str_symbols_refused(self, tmp_path):
+        # A number would load back as a string: refused like a tuple.
+        assert_refused_on_save(random_moore(random.Random(3), INTS, BITS, 2), tmp_path)
 
 
 # Names and symbols that json escapes or that the writer's own "%"
