@@ -4,9 +4,12 @@ Machines are 1-cells between finite alphabets, composed sequentially;
 state maps commuting with dynamics and outputs are the 2-cells.  The
 package provides the composition calculus with its associator and
 pentagon coherence, word semantics with exact bisimulation, the
-universal one-step and frozen registers with the moorification and
-decapitation coreflections, the softness hierarchy, an exhaustive
-law-checking lab, and the free unitization of the Moore structure.
+universal one-step and frozen registers with moorification and
+decapitation, the softness hierarchy, an exhaustive law-checking lab,
+and the free unitization of the Moore structure.  The lab checks
+D₁ ⊣ moorify as a bijection of hom-sets (acceptance criterion 02); the
+analogous correspondence for decapitation is only measured, and often
+fails (criterion 12).
 """
 
 __version__ = "0.1.0"

@@ -109,9 +109,7 @@ def _cmd_run(args):
 
 
 def _cmd_compose(args):
-    second = load_machine(args.second)
-    first = load_machine(args.first)
-    _emit_machine(compose_cells(second, first), args.output)
+    _emit_machine(compose_cells(load_machine(args.second), load_machine(args.first)), args.output)
     return 0
 
 
@@ -129,12 +127,8 @@ def _cmd_transform(args):
             raise MachineError("transform %s applies to Moore machines" % args.op)
         if args.op in ("moorify", "decapitate") and not isinstance(m, MealyMachine):
             raise MachineError("transform %s applies to Mealy machines" % args.op)
-        result = {
-            "embed-j": embed_j,
-            "d1": apply_D1,
-            "moorify": moorify,
-            "decapitate": decapitate,
-        }[args.op](m)
+        result = {"embed-j": embed_j, "d1": apply_D1, "moorify": moorify,
+                  "decapitate": decapitate}[args.op](m)
     _emit_machine(result, args.output)
     return 0
 
@@ -151,25 +145,21 @@ def _verdict(label, ok):
 
 
 def _cmd_check(args):
-    if args.law == "soft":
-        m = _require_moore(load_machine(args.files[0]), "check soft")
-        return _verdict("soft", is_soft(m))
-    if args.law == "n-soft":
-        m = _require_moore(load_machine(args.files[0]), "check n-soft")
-        return _verdict("%d-soft" % args.n, is_n_soft(m, args.n))
-    if args.law == "extension-square":
-        m = _require_moore(load_machine(args.files[0]), "check extension-square")
-        return _verdict(
-            "extension-square(≤%d)" % args.maxlen, check_extension_square(m, args.maxlen)
-        )
+    if args.law in ("soft", "n-soft", "extension-square"):
+        m = _require_moore(load_machine(args.files[0]), "check " + args.law)
+        if args.law == "soft":
+            return _verdict("soft", is_soft(m))
+        if args.law == "n-soft":
+            return _verdict("%d-soft" % args.n, is_n_soft(m, args.n))
+        return _verdict("extension-square(≤%d)" % args.maxlen,
+                        check_extension_square(m, args.maxlen))
     if args.law == "counit":
         m = load_machine(args.files[0])
         if not isinstance(m, MealyMachine):
             raise MachineError("check counit applies to Mealy machines")
         return _verdict("counit", check_counit(m))
     if args.law == "j-compat":
-        m = load_machine(args.files[0])
-        n = load_machine(args.files[1])
+        m, n = map(load_machine, args.files)
         return _verdict("j-compat", check_j_compatibilities(m, n))
     if args.law == "pentagon":
         if len(args.files) != 4:
@@ -180,39 +170,27 @@ def _cmd_check(args):
 
 def _cmd_homs(args):
     m1 = load_machine(args.first)
-    m2 = load_machine(args.second)
-    homset = enumerate_homs(m1, m2)
+    homset = enumerate_homs(m1, load_machine(args.second))
     print("homs: %d" % len(homset.homs))
     for phi in homset.homs:
-        body = ", ".join(
-            "%s↦%s" % (render_state(e), render_state(phi.map[e])) for e in m1.states
-        )
+        body = ", ".join("%s↦%s" % (render_state(e), render_state(phi.map[e])) for e in m1.states)
         print("  {%s}" % body)
     return 0
 
 
-def _print_report(label, report):
+def _cmd_bijection(args):
+    """``adjunction`` or ``correspondence``: a Moore file, then a Mealy file."""
+    label = args.command
+    n = _require_moore(load_machine(args.moore), label)
+    m = load_machine(args.mealy)
+    if not isinstance(m, MealyMachine):
+        raise MachineError("%s takes a Moore file then a Mealy file" % label)
+    report = (check_adjunction_D1 if label == "adjunction" else check_hom_correspondence)(n, m)
     print("%s: %s" % (label, "SUCCESS" if report.success else "FAILURE"))
     print("  left homs: %d, right homs: %d" % (len(report.left.homs), len(report.right.homs)))
     if report.counterexample:
         print("  counterexample: %s" % report.counterexample)
     return 0 if report.success else 1
-
-
-def _cmd_adjunction(args):
-    n = _require_moore(load_machine(args.moore), "adjunction")
-    m = load_machine(args.mealy)
-    if not isinstance(m, MealyMachine):
-        raise MachineError("adjunction takes a Moore file then a Mealy file")
-    return _print_report("adjunction", check_adjunction_D1(n, m))
-
-
-def _cmd_correspondence(args):
-    n = _require_moore(load_machine(args.moore), "correspondence")
-    m = load_machine(args.mealy)
-    if not isinstance(m, MealyMachine):
-        raise MachineError("correspondence takes a Moore file then a Mealy file")
-    return _print_report("correspondence", check_hom_correspondence(n, m))
 
 
 def _cmd_search_identity(args):
@@ -349,15 +327,11 @@ def build_parser():
     p.add_argument("first")
     p.add_argument("second")
 
-    p = command(("adjunction",), _cmd_adjunction,
-                help="verify the one-step adjunction bijection")
-    p.add_argument("moore")
-    p.add_argument("mealy")
-
-    p = command(("correspondence",), _cmd_correspondence,
-                help="measure the decapitation correspondence")
-    p.add_argument("moore")
-    p.add_argument("mealy")
+    for name, text in (("adjunction", "verify the one-step adjunction bijection"),
+                       ("correspondence", "measure the decapitation correspondence")):
+        p = command((name,), _cmd_bijection, help=text)
+        p.add_argument("moore")
+        p.add_argument("mealy")
 
     p = command(("search-identity",), _cmd_search_identity,
                 help="exhaustively search for a Moore identity cell")

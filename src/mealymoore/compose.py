@@ -18,8 +18,6 @@ checks that its four cells chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     EndpointMismatch,
     KindMismatch,
@@ -27,6 +25,7 @@ from .core import (
     MealyMachine,
     MooreMachine,
     StateMap,
+    _Value,
     is_homomorphism,
 )
 
@@ -97,26 +96,26 @@ def rtimes(m: MealyMachine, n: MooreMachine) -> MooreMachine:
     return compose_cells(m, n)
 
 
-@dataclass(frozen=True)
-class StateBijection:
+class StateBijection(_Value):
     """A machine isomorphism: a homomorphism with a homomorphic inverse."""
 
-    source: Machine
-    target: Machine
-    forward: StateMap
-    backward: StateMap
+    _fields = ("source", "target", "forward", "backward")
 
-    def __post_init__(self):
-        fwd, bwd = self.forward, self.backward
-        if (fwd.source, fwd.target, bwd.source, bwd.target) != (
-                self.source, self.target, self.target, self.source):
+    def __init__(self, source: Machine, target: Machine, forward: StateMap, backward: StateMap):
+        if (forward.source, forward.target, backward.source, backward.target) != (
+                source, target, target, source):
             raise EndpointMismatch("forward must map source to target, and backward back")
-        for there, back, way in ((fwd, bwd, "backward∘forward"), (bwd, fwd, "forward∘backward")):
+        for there, back, way in ((forward, backward, "backward∘forward"),
+                                 (backward, forward, "forward∘backward")):
             for i, j in enumerate(there._img):
                 if back._img[j] != i:
                     raise NotAnIso("%s is not the identity at %r" % (way, there.source.states[i]))
-        if not is_homomorphism(fwd) or not is_homomorphism(bwd):
+        # The inverse of a homomorphism is one, so only forward is checked: with
+        # t = forward(s), backward(δ(t, a)) = backward(forward(δ(s, a))) = δ(s, a)
+        # = δ(backward(t), a), and out(t, a) = out(s, a) = out(backward(t), a).
+        if not is_homomorphism(forward):
             raise NotAnIso("both directions must be homomorphisms")
+        self._set(source, target, forward, backward)
 
     @classmethod
     def _trusted(cls, source, target, forward, backward):
@@ -125,8 +124,6 @@ class StateBijection:
         iso = object.__new__(cls)
         iso.__dict__.update(source=source, target=target, forward=forward, backward=backward)
         return iso
-
-    __hash__ = None
 
 
 class NotAnIso(KindMismatch):

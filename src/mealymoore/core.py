@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import reprlib
 from collections import abc
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Union
 
@@ -78,21 +77,71 @@ class NotAHomomorphism(MachineError):
     """The operation requires a state map that is a homomorphism."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Value:
+    """Base of the library's immutable values: ``__init__`` sets each field once with
+    ``object.__setattr__`` (call by call where it runs hot, not through ``_set``), which
+    keeps the instance dict compact; later writes raise.  Equality and repr go by ``_fields``."""
+
+    _fields = ()
+
+    def _set(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, f) for f in self._fields] == [getattr(other, f) for f in self._fields]
+
+    def __repr__(self):
+        fields = ("%s=%r" % (f, getattr(self, f)) for f in self._fields)
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(fields))
+
+
+class _lazy:
+    """A field built on first read by the decorated method and kept in
+    the instance dict, where every later read finds it first."""
+
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.build(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
+class Alphabet(_Value):
     """A named finite set of symbols; the name is a label and does not
     participate in equality.  Symbol order is fixed at construction and
     used for all iteration."""
 
-    name: str = field(compare=False)
-    symbols: tuple[Letter, ...] = ()
+    _fields = ("name", "symbols")
 
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if len(self.symbols) < 1:
-            raise MachineError("alphabet %r must have at least one symbol" % self.name)
-        if len(set(self.symbols)) != len(self.symbols):
-            raise DuplicateName("alphabet %r has repeated symbols" % self.name)
+    def __init__(self, name: str, symbols: tuple[Letter, ...] = ()):
+        symbols = tuple(symbols)
+        if len(symbols) < 1:
+            raise MachineError("alphabet %r must have at least one symbol" % name)
+        if len(set(symbols)) != len(symbols):
+            raise DuplicateName("alphabet %r has repeated symbols" % name)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "symbols", symbols)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.symbols == other.symbols
+
+    def __hash__(self):
+        return hash((self.symbols,))
 
     def __contains__(self, letter):
         return letter in self.symbols
@@ -133,8 +182,7 @@ def _index_table(what, table, keys, code, bad_value):
             raise UnknownSymbol(bad_value % reprlib.repr(value)) from None
 
 
-@dataclass(frozen=True)
-class _Machine:
+class _Machine(_Value):
     """The fields and table check of both kinds.
 
     The public constructor checks the named tables in the walk that
@@ -146,32 +194,28 @@ class _Machine:
     machine the two forms agree, and no machine sharing a table with
     another can be changed through it."""
 
-    input: Alphabet
-    output: Alphabet
-    states: tuple[State, ...]
-    delta: Mapping[tuple[State, Letter], State]
-    out: Mapping
+    _fields = ("input", "output", "states", "delta", "out")
 
-    def __post_init__(self):
-        states = tuple(self.states)
+    def __init__(self, input: Alphabet, output: Alphabet, states: tuple[State, ...],
+                 delta: Mapping[tuple[State, Letter], State], out: Mapping):
+        states = tuple(states)
         if not states:
             raise MachineError("a machine needs at least one state")
         try:
-            pos = {e: i for i, e in enumerate(states)}
+            pos = dict(zip(states, range(len(states))))
         except TypeError as err:  # such as a JSON list in a machine file
             raise UnknownSymbol("state names must be hashable (%s)" % err) from None
         if len(pos) != len(states):
             raise DuplicateName("repeated state names")
-        delta, out = dict(self.delta), dict(self.out)
-        keys = list(itertools.product(states, self.input.symbols))
-        code = {b: j for j, b in enumerate(self.output.symbols)}
-        self.__dict__.update(
-            states=states, _pos=pos, delta=MappingProxyType(delta), out=MappingProxyType(out),
-            _d=_index_table("delta", delta, keys, pos, "delta target %s is not a declared state"),
-            _o=_index_table("out", out, keys if self._out_by_letter else states, code,
-                            "output letter %s is not in the output alphabet"),
-            _n=len(states),
-        )
+        delta, out = dict(delta), dict(out)
+        keys = list(itertools.product(states, input.symbols))
+        code = dict(zip(output.symbols, range(len(output.symbols))))
+        d = _index_table("delta", delta, keys, pos, "delta target %s is not a declared state")
+        o = _index_table("out", out, keys if self._out_by_letter else states, code,
+                         "output letter %s is not in the output alphabet")
+        self._set(input, output, states, MappingProxyType(delta), MappingProxyType(out))
+        for name, value in (("_pos", pos), ("_d", d), ("_o", o), ("_n", len(states))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _trusted(cls, input, output, **tables):
@@ -184,26 +228,25 @@ class _Machine:
         m.__dict__.update(tables, input=input, output=output)
         return m
 
-    def __getattr__(self, name):
-        """Build, on first use, what a machine built in index form was
-        not made with, and keep it: the named view, a composite's
-        ``states`` and the state positions ``_pos``."""
-        have = self.__dict__
-        if name in ("delta", "out"):
-            states = self.states
-            keys = list(itertools.product(states, self.input.symbols))
-            symbols = self.output.symbols
-            have["delta"] = MappingProxyType(dict(zip(keys, map(states.__getitem__, self._d))))
-            have["out"] = MappingProxyType(dict(zip(keys if self._out_by_letter else states,
-                                                    map(symbols.__getitem__, self._o))))
-        elif name == "states":
-            second, first = have["_factors"]
-            have["states"] = tuple(itertools.product(second.states, first.states))
-        elif name == "_pos":
-            have["_pos"] = {e: i for i, e in enumerate(self.states)}
-        else:
-            raise AttributeError(name)
-        return have[name]
+    @_lazy
+    def delta(self):
+        keys = itertools.product(self.states, self.input.symbols)
+        return MappingProxyType(dict(zip(keys, map(self.states.__getitem__, self._d))))
+
+    @_lazy
+    def out(self):
+        keys = (itertools.product(self.states, self.input.symbols) if self._out_by_letter
+                else self.states)
+        return MappingProxyType(dict(zip(keys, map(self.output.symbols.__getitem__, self._o))))
+
+    @_lazy
+    def states(self):
+        second, first = self._factors
+        return tuple(itertools.product(second.states, first.states))
+
+    @_lazy
+    def _pos(self):
+        return dict(zip(self.states, range(self._n)))
 
     def _index(self, s):
         """The index of state s, or None if s is not a state."""
@@ -233,8 +276,6 @@ class _Machine:
         return (self.input == other.input and self.output == other.output
                 and self.states == other.states and self._d == other._d and self._o == other._o)
 
-    __hash__ = None
-
 
 class MealyMachine(_Machine):
     """A 1-cell A↝B with letter-dependent output out(e, a)."""
@@ -254,7 +295,7 @@ Machine = Union[MealyMachine, MooreMachine]
 def _raw_alphabet(name, symbols):
     if not isinstance(symbols, (list, tuple)):
         raise MissingEntry("%s alphabet must be a list of symbols" % name)
-    return Alphabet(name, tuple(str(s) for s in symbols))
+    return Alphabet(name, tuple(map(str, symbols)))
 
 
 def _flatten_table(table, what, nested=True):
@@ -285,12 +326,11 @@ def _walk_rows(table, states, letters, code):
         return None
     if letters is None:  # a Moore output table: one bare value per state
         return tuple(map(code.__getitem__, map(table.__getitem__, states)))
-    k, cells = len(letters), []
-    for row in map(table.__getitem__, states):
+    rows, k = list(map(table.__getitem__, states)), len(letters)
+    for row in rows:
         if type(row) is not dict or len(row) != k:
             return None
-        cells += map(code.__getitem__, map(row.__getitem__, letters))
-    return tuple(cells)
+    return tuple([code[row[a]] for row in rows for a in letters])
 
 
 def _validate_raw(raw, cls):
@@ -302,9 +342,9 @@ def _validate_raw(raw, cls):
     if not isinstance(states, (list, tuple)):
         raise MissingEntry("states must be a list")
     states, n = tuple(states), len(states)
-    code = {b: j for j, b in enumerate(outp.symbols)}
+    code = dict(zip(outp.symbols, range(len(outp.symbols))))
     try:
-        pos = {e: i for i, e in enumerate(states)}
+        pos = dict(zip(states, range(n)))
         d = _walk_rows(raw.get("delta"), states, inp.symbols, pos)
         o = _walk_rows(raw.get("out"), states, inp.symbols if cls._out_by_letter else None, code)
         if n and len(pos) == n and d is not None and o is not None:
@@ -329,7 +369,7 @@ def validate_moore(raw: Mapping) -> MooreMachine:
 def _letter_indices(m: Machine, word) -> list:
     """The input-letter indices of ``word``, mapped once per call."""
     word = tuple(word)
-    code = {a: i for i, a in enumerate(m.input.symbols)}
+    code = dict(zip(m.input.symbols, range(len(m.input.symbols))))
     try:
         return list(map(code.__getitem__, word))
     except (KeyError, TypeError):  # TypeError: an unhashable letter
@@ -353,8 +393,7 @@ def identity_cell(a: Alphabet) -> MealyMachine:
     return MealyMachine(a, a, ("*",), delta, out)
 
 
-@dataclass(frozen=True)
-class StateMap:
+class StateMap(_Value):
     """A candidate 2-cell: a total function between the state sets of
     two machines of the same kind with common endpoints.  ``map`` is a
     read-only copy of the mapping given; the check that it is total and
@@ -362,28 +401,27 @@ class StateMap:
     tuple of target-state indices, one per source-state index, which is
     what the kernels read."""
 
-    source: Machine
-    target: Machine
-    map: Mapping[State, State]
+    _fields = ("source", "target", "map")
 
-    def __post_init__(self):
-        if type(self.source) is not type(self.target):
+    def __init__(self, source: Machine, target: Machine, map: Mapping[State, State]):
+        if type(source) is not type(target):
             raise KindMismatch("state maps relate machines of the same kind")
-        if (self.source.input.symbols != self.target.input.symbols
-                or self.source.output.symbols != self.target.output.symbols):
+        if (source.input.symbols != target.input.symbols
+                or source.output.symbols != target.output.symbols):
             raise EndpointMismatch("state maps require common input and output alphabets")
-        table, states, index = dict(self.map), self.source.states, self.target._index
+        table, states, index = dict(map), source.states, target._index
         try:  # index() swallows its own lookup errors, so a KeyError is a missing entry
             img = tuple([index(table[e]) for e in states])
         except KeyError as err:
             raise MissingEntry("map lacks entry for state %r" % (err.args[0],)) from None
         if len(table) != len(states):
-            extra = next(e for e in table if self.source._index(e) is None)
+            extra = next(e for e in table if source._index(e) is None)
             raise UnknownSymbol("map entry for undeclared state %r" % (extra,))
         if None in img:
             image = table[states[img.index(None)]]
             raise UnknownSymbol("map image %r is not a target state" % (image,))
-        self.__dict__.update(map=MappingProxyType(table), _img=img)
+        self._set(source, target, MappingProxyType(table))
+        object.__setattr__(self, "_img", img)
 
     @classmethod
     def _trusted(cls, source, target, img):
@@ -395,15 +433,10 @@ class StateMap:
         phi.__dict__.update(source=source, target=target, _img=img)
         return phi
 
-    def __getattr__(self, name):
-        """Build, on first use, the named map of a map built in index form."""
-        if name != "map":
-            raise AttributeError(name)
+    @_lazy
+    def map(self):
         images = map(self.target.states.__getitem__, self._img)
-        value = self.__dict__["map"] = MappingProxyType(dict(zip(self.source.states, images)))
-        return value
-
-    __hash__ = None
+        return MappingProxyType(dict(zip(self.source.states, images)))
 
 
 def is_homomorphism(phi: StateMap) -> bool:

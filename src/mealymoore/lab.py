@@ -14,9 +14,6 @@ is complete or the search raises, never silently truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .compose import ltimes
 from .core import (
     ENUMERATION_GUARD,
@@ -31,6 +28,7 @@ from .core import (
     NotAHomomorphism,
     NotSoft,
     StateMap,
+    _Value,
     is_homomorphism,
 )
 from .generate import all_moore_up_to
@@ -38,16 +36,16 @@ from .semantics import _blocks
 from .universal import apply_D1, decapitate, embed_j, is_soft, moorify
 
 
-@dataclass(frozen=True)
-class HomSet:
+class HomSet(_Value):
     """The complete, duplicate-free, lexicographically ordered set of
     homomorphisms between two machines."""
 
-    source: Machine
-    target: Machine
-    homs: tuple[StateMap, ...]
+    _fields = ("source", "target", "homs")
 
-    __hash__ = None
+    def __init__(self, source: Machine, target: Machine, homs: tuple[StateMap, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "homs", homs)
 
     def maps(self):
         return [phi.map for phi in self.homs]
@@ -126,19 +124,19 @@ def enumerate_homs(m1: Machine, m2: Machine) -> HomSet:
     return HomSet(m1, m2, tuple(homs))
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(_Value):
     """The outcome of attempting a transposition bijection between two
     hom-sets; on failure, ``counterexample`` names the first offending
     element."""
 
-    left: HomSet
-    right: HomSet
-    pairs: tuple[tuple[StateMap, StateMap], ...]
-    success: bool
-    counterexample: Optional[str]
+    _fields = ("left", "right", "pairs", "success", "counterexample")
 
-    __hash__ = None
+    def __init__(self, left, right, pairs, success, counterexample):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "success", success)
+        object.__setattr__(self, "counterexample", counterexample)
 
 
 def _transpose_report(n, left, right):
@@ -159,10 +157,8 @@ def _transpose_report(n, left, right):
     for phi in left.homs:
         psi = unpaired.pop(tuple(b * width + t for b, t in zip(n._o, phi._img)), None)
         if psi is None:
-            return BijectionReport(
-                left, right, (), False,
-                "transpose of %r is not in the right hom-set" % (dict(phi.map),),
-            )
+            missing = "transpose of %r is not in the right hom-set" % (dict(phi.map),)
+            return BijectionReport(left, right, (), False, missing)
         pairs.append((phi, psi))
     if unpaired:
         psi = next(iter(unpaired.values()))  # the first right hom no transpose reached
@@ -230,19 +226,16 @@ def check_moorify_functorial(phi: StateMap) -> bool:
     return is_homomorphism(StateMap._trusted(src, tgt, lifted))
 
 
-@dataclass(frozen=True)
-class IdentitySearchReport:
+class IdentitySearchReport(_Value):
     """Outcome of the exhaustive search for a Moore identity 1-cell."""
 
-    alphabet: Alphabet
-    max_states: int
-    candidates_checked: int
-    survivors: tuple[MooreMachine, ...]
-    # (candidate index, probe index, direction) of each first failure
-    failures: tuple[tuple[int, int, str], ...]
-    probe_warning: Optional[str]
+    # failures: the (candidate index, probe index, direction) of each first failure
+    _fields = ("alphabet", "max_states", "candidates_checked", "survivors", "failures",
+               "probe_warning")
 
-    __hash__ = None
+    def __init__(self, alphabet, max_states, candidates_checked, survivors, failures,
+                 probe_warning):
+        self._set(alphabet, max_states, candidates_checked, survivors, failures, probe_warning)
 
 
 def _pointwise_identity(composite, probe):
@@ -299,6 +292,4 @@ def search_moore_identity(
             "all probes have letter-independent output rows; add a probe "
             "with letter-dependent output to rule the survivors out"
         )
-    return IdentitySearchReport(
-        a, max_states, checked, tuple(survivors), tuple(failures), warning
-    )
+    return IdentitySearchReport(a, max_states, checked, tuple(survivors), tuple(failures), warning)

@@ -90,12 +90,15 @@ def machine_from_raw(doc: dict) -> Machine:
 
 
 def load_machine(path) -> Machine:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError as err:
-            raise MachineFileSyntaxError("not UTF-8 text: %s" % err) from err
-    return machine_from_raw(parse_machine_text(text))
+    """Read a machine file as UTF-8 bytes; a byte order mark is kept for
+    the parser to refuse, and CRLF and a lone CR become LF, as in text mode."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise MachineFileSyntaxError("not UTF-8 text: %s" % err) from err
+    return machine_from_raw(parse_machine_text(text.replace("\r\n", "\n").replace("\r", "\n")))
 
 
 def render_state(s: Union[str, tuple]) -> str:

@@ -13,7 +13,6 @@ test suite as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .core import (
@@ -27,25 +26,24 @@ from .core import (
     MooreMachine,
     State,
     UnknownSymbol,
+    _Value,
     _letter_indices,
     _walk,
 )
 
 
-@dataclass(frozen=True)
-class PointedMachine:
+class PointedMachine(_Value):
     """A machine together with a chosen start state."""
 
-    machine: Machine
-    start: State
+    _fields = ("machine", "start")
 
-    def __post_init__(self):
-        i = self.machine._index(self.start)
+    def __init__(self, machine: Machine, start: State):
+        i = machine._index(start)
         if i is None:
-            raise UnknownSymbol("start state %r is not declared" % (self.start,))
+            raise UnknownSymbol("start state %r is not declared" % (start,))
+        object.__setattr__(self, "machine", machine)
+        object.__setattr__(self, "start", start)
         object.__setattr__(self, "_i", i)  # the start's index
-
-    __hash__ = None
 
 
 def run(p: PointedMachine, word: Iterable[Letter]) -> Letter:

@@ -9,7 +9,6 @@ there are no 2-cells between a formal identity and a machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .compose import compose_moore
@@ -19,14 +18,20 @@ from .core import (
     KindMismatch,
     MooreMachine,
     StateMap,
+    _Value,
 )
 
 
-@dataclass(frozen=True)
-class FormalId:
+class FormalId(_Value):
     """The formal identity cell at an alphabet; it carries no states."""
 
-    at: Alphabet
+    _fields = ("at",)
+
+    def __init__(self, at: Alphabet):
+        object.__setattr__(self, "at", at)
+
+    def __hash__(self):
+        return hash((self.at,))
 
 
 UCell = Union[FormalId, MooreMachine]
@@ -59,33 +64,28 @@ def ucompose(c2: UCell, c1: UCell) -> UCell:
     return compose_moore(c2, c1)
 
 
-@dataclass(frozen=True)
-class UMap:
+class UMap(_Value):
     """A 2-cell of the unitized structure: a StateMap between two
     machine cells, or the unique identity on a formal identity cell.
     No 2-cell relates a formal identity to a machine."""
 
-    source: UCell
-    target: UCell
-    statemap: Optional[StateMap]
+    _fields = ("source", "target", "statemap")
 
-    def __post_init__(self):
-        formal_src = isinstance(self.source, FormalId)
-        formal_tgt = isinstance(self.target, FormalId)
-        if formal_src != formal_tgt:
+    def __init__(self, source: UCell, target: UCell, statemap: Optional[StateMap]):
+        formal_src = isinstance(source, FormalId)
+        if formal_src != isinstance(target, FormalId):
             raise KindMismatch("no 2-cell exists between a formal identity and a machine")
         if formal_src:
-            if self.source != self.target:
+            if source != target:
                 raise EndpointMismatch("formal identities only carry their own identity 2-cell")
-            if self.statemap is not None:
+            if statemap is not None:
                 raise KindMismatch("the 2-cell on a formal identity carries no state map")
         else:
-            if self.statemap is None:
+            if statemap is None:
                 raise KindMismatch("a 2-cell between machines needs a state map")
-            if self.statemap.source != self.source or self.statemap.target != self.target:
+            if statemap.source != source or statemap.target != target:
                 raise EndpointMismatch("state map endpoints disagree with the cells")
-
-    __hash__ = None
+        self._set(source, target, statemap)
 
     @property
     def is_formal(self):

@@ -11,7 +11,6 @@ concrete conversion functors from Moore to Mealy machines.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .compose import ltimes
@@ -24,6 +23,7 @@ from .core import (
     MooreMachine,
     State,
     UnknownSymbol,
+    _Value,
     _letter_indices,
     _walk,
 )
@@ -138,8 +138,7 @@ def is_n_soft(m: MooreMachine, n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SoftnessReport:
+class SoftnessReport(_Value):
     """The least n ≥ 1 at which the machine is n-soft, if any within the
     checked bound.
 
@@ -147,11 +146,12 @@ class SoftnessReport:
     multiples: a machine of level 2 is 4-soft but may not be 3-soft.
     """
 
-    machine: MooreMachine
-    level: Optional[int]
-    bound: int
+    _fields = ("machine", "level", "bound")
 
-    __hash__ = None
+    def __init__(self, machine: MooreMachine, level: Optional[int], bound: int):
+        object.__setattr__(self, "machine", machine)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "bound", bound)
 
 
 def softness_level(m: MooreMachine, bound: int) -> SoftnessReport:

@@ -3,7 +3,8 @@
 Everything here recomputes results from first principles (folds over
 the named tables, bounded word exhaustion, brute-force counts, pairwise
 table checks, a named-first random draw, the machine-file writer and
-reader as they were written first, on the named tables) rather than
+reader as they were written first, on the named tables, and the
+text-mode file reader) rather than
 calling the code paths under test.  The exceptions are ``pentagon_maps`` and
 ``rebracketed``, which read the bijections ``associator`` returns,
 because those are what they are about.
@@ -17,6 +18,7 @@ from collections import abc
 from mealymoore import (
     Alphabet,
     DuplicateName,
+    MachineFileSyntaxError,
     MealyMachine,
     MissingEntry,
     MooreMachine,
@@ -25,6 +27,8 @@ from mealymoore import (
     associator,
     compose_cells,
     is_homomorphism,
+    machine_from_raw,
+    parse_machine_text,
     render_state,
     serialize_machine,
     trace,
@@ -368,3 +372,14 @@ def validate_flat(raw, kind):
     delta = _flat(raw.get("delta", {}), "delta", True)
     out = _flat(raw.get("out", {}), "out", kind is MealyMachine)
     return kind(*alphabets, tuple(states), delta, out)
+
+
+def load_text_mode(path):
+    """The machine-file reader as it was first written: the file opened
+    in text mode as UTF-8 with universal newlines, then parsed."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as err:
+            raise MachineFileSyntaxError("not UTF-8 text: %s" % err) from err
+    return machine_from_raw(parse_machine_text(text))

@@ -7,6 +7,7 @@ from mealymoore import (
     Alphabet,
     DuplicateName,
     EndpointMismatch,
+    FormalId,
     KindMismatch,
     MachineError,
     MealyMachine,
@@ -14,9 +15,11 @@ from mealymoore import (
     MooreMachine,
     PointedMachine,
     StateMap,
+    UMap,
     UnknownSymbol,
     apply_D1,
     associator,
+    check_adjunction_D1,
     check_counit,
     check_moorify_functorial,
     compose_cells,
@@ -29,6 +32,8 @@ from mealymoore import (
     is_homomorphism,
     moorify,
     run,
+    search_moore_identity,
+    softness_level,
     universal_p,
     universal_u,
     validate_mealy,
@@ -235,6 +240,33 @@ class TestReadOnlyTables:
                 del table[k]
         assert [(dict(x.delta), dict(x.out), x == rebuilt(x)) for x in machines] == before
         assert all(same for _, _, same in before)
+
+
+def _values():
+    """One value of each of the library's 11 immutable classes (the
+    machine class as both kinds), by class name."""
+    par, cpar = make_par(), make_cpar()
+    return {type(v).__name__: v for v in (
+        BITS, par, cpar, identity_map(par), associator(cpar, cpar, cpar),
+        PointedMachine(par, "q0"), softness_level(cpar, 2), FormalId(BITS),
+        UMap(cpar, cpar, identity_map(cpar)), enumerate_homs(par, par),
+        check_adjunction_D1(cpar, par), search_moore_identity(BITS, [par], 1),
+    )}
+
+
+class TestValuesAreImmutable:
+    @pytest.mark.parametrize("name", sorted(_values()))
+    def test_field_writes_raise(self, name):
+        value = _values()[name]
+        field = value._fields[0]
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.unknown = None
+        assert getattr(value, field) is before
 
 
 class TestIdentityCell:

@@ -34,7 +34,7 @@ from mealymoore import (
 from mealymoore.generate import random_mealy, random_moore
 
 from conftest import BITS
-from oracles import machine_text, validate_flat
+from oracles import load_text_mode, machine_text, validate_flat
 
 
 def doc_for(m):
@@ -448,3 +448,62 @@ class TestReaderEquivalence:
             raw["states"].reverse()
             raw["out"].clear()
             assert m == twin and dict(m.delta) == dict(twin.delta) and dict(m.out) == dict(twin.out)
+
+
+def _par_bytes():
+    from conftest import make_par
+
+    return serialize_machine(make_par()).encode("utf-8")
+
+
+def _greek_bytes():
+    greek = Alphabet("greek", ("α", "β"))
+    states = ("ω", "ψ", "q₀")
+    delta = {(e, a): states[(i + j) % 3] for i, e in enumerate(states) for j, a in enumerate("αβ")}
+    m = MealyMachine(greek, greek, states, delta, {(e, a): a for e in states for a in "αβ"})
+    return serialize_machine(m).encode("utf-8")
+
+
+def _break_line(data, line, newline):
+    """The document with the comma ending its ``line``-th line (from 1)
+    dropped, which the parser reports on the next line, and its line
+    breaks written as ``newline``."""
+    lines = data.decode("utf-8").split("\n")
+    lines[line - 1] = lines[line - 1].rstrip(",")
+    return newline.join(lines).encode("utf-8")
+
+
+READER_FILES = {
+    "not-utf8-start": lambda: b"\xff" + _par_bytes(),
+    "not-utf8-inside": lambda: _par_bytes().replace(b'"q1"', b'"q\xe21"'),
+    "not-utf8-truncated": lambda: _par_bytes() + b"\xe2\x82",
+    "bom": lambda: b"\xef\xbb\xbf" + _par_bytes(),
+    "crlf": lambda: _par_bytes().replace(b"\n", b"\r\n"),
+    "lone-cr": lambda: _par_bytes().replace(b"\n", b"\r"),
+    "mixed-endings": lambda: _par_bytes().replace(b"\n", b"\r", 3).replace(b"\n", b"\r\n", 4),
+    "crlf-syntax-error-line-4": lambda: _break_line(_par_bytes(), 3, "\r\n"),
+    "lone-cr-syntax-error-line-3": lambda: _break_line(_par_bytes(), 2, "\r"),
+    "lone-cr-syntax-error-line-10": lambda: _break_line(_par_bytes(), 9, "\r"),
+    "cr-inside-a-name": lambda: _par_bytes().replace(b'"q1"', b'"q\r1"'),
+    "non-ascii-names": _greek_bytes,
+    "non-ascii-names-crlf": lambda: _greek_bytes().replace(b"\n", b"\r\n"),
+}
+
+
+class TestReaderParity:
+    """load_machine, which decodes the bytes itself, gives the text-mode
+    reader's machine, or its error type and message, on every file."""
+
+    @pytest.mark.parametrize("case", sorted(READER_FILES))
+    def test_same_outcome(self, case, tmp_path):
+        path = tmp_path / "case.machine"
+        path.write_bytes(READER_FILES[case]())
+        got, expected = outcome(load_machine, path), outcome(load_text_mode, path)
+        assert got[1] == expected[1]
+        assert got[0] == expected[0]
+        if case.startswith(("not-utf8", "bom")) or "error" in case:
+            assert got[1][0] is MachineFileSyntaxError
+        if "line" in case:
+            assert got[1][1].startswith("line %s:" % case.rpartition("-")[2])
+        if case.startswith(("crlf", "lone-cr", "mixed", "non-ascii")) and "error" not in case:
+            assert got[0] is not None

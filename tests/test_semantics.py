@@ -147,6 +147,23 @@ class TestBisimilar:
         with pytest.raises(EndpointMismatch):
             bisimilar(PointedMachine(par, "q0"), PointedMachine(identity_cell(three), "*"))
 
+    @staticmethod
+    def _one_state(inp, outp):
+        return MooreMachine(inp, outp, ("s",), {("s", a): "s" for a in inp.symbols},
+                            {"s": outp.symbols[0]})
+
+    def test_endpoint_mismatch_on_input_alone(self, bits):
+        three = Alphabet("three", ("0", "1", "2"))
+        with pytest.raises(EndpointMismatch):
+            bisimilar(PointedMachine(self._one_state(bits, bits), "s"),
+                      PointedMachine(self._one_state(three, bits), "s"))
+
+    def test_endpoint_mismatch_on_output_alone(self, bits):
+        three = Alphabet("three", ("0", "1", "2"))
+        with pytest.raises(EndpointMismatch):
+            bisimilar(PointedMachine(self._one_state(bits, bits), "s"),
+                      PointedMachine(self._one_state(bits, three), "s"))
+
     def test_equivalence_relation_on_samples(self, par, bits):
         cc = compose_mealy(identity_cell(bits), par)
         points = [PointedMachine(par, "q0"), PointedMachine(par, "q1"),

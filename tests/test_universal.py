@@ -6,6 +6,7 @@ from mealymoore import (
     Alphabet,
     LetterOutOfAlphabet,
     MachineError,
+    MooreMachine,
     PointedMachine,
     StateMap,
     apply_D1,
@@ -27,7 +28,8 @@ from mealymoore import (
 from mealymoore.generate import all_moore_up_to, random_mealy
 from mealymoore.semantics import words_up_to
 
-from oracles import fold_state, fold_trace
+from conftest import BITS
+from oracles import fold_state, fold_trace, n_soft
 
 
 class TestUniversalU:
@@ -216,6 +218,19 @@ class TestSoftness:
     def test_softness_level_report(self, u2, p2):
         assert softness_level(p2, 3).level == 1
         assert softness_level(u2, 3).level is None
+
+    @pytest.mark.parametrize("length", [2, 3, 4, 5])
+    def test_softness_level_reaches_the_bound(self, length):
+        # A one-letter cycle whose state 0 alone emits "1" is n-soft
+        # exactly at the multiples of its length, so a bound equal to
+        # the level, or one above it, still finds it.
+        one = Alphabet("one", ("a",))
+        states = tuple(range(length))
+        m = MooreMachine(one, BITS, states, {(e, "a"): (e + 1) % length for e in states},
+                         {e: "1" if e == 0 else "0" for e in states})
+        assert [n for n in range(1, length + 1) if n_soft(m, n)] == [length]
+        assert softness_level(m, length).level == length
+        assert softness_level(m, length + 1).level == length
 
     def test_ltimes_with_soft_left_factor_is_soft(self, bits, p2):
         rng = random.Random(9)
