@@ -122,21 +122,10 @@ def _cmd_transform(args):
     else:
         if not args.file:
             raise MachineError("transform %s needs a machine file" % args.op)
-        m = load_machine(args.file)
-        if args.op in ("embed-j", "d1") and not isinstance(m, MooreMachine):
-            raise MachineError("transform %s applies to Moore machines" % args.op)
-        if args.op in ("moorify", "decapitate") and not isinstance(m, MealyMachine):
-            raise MachineError("transform %s applies to Mealy machines" % args.op)
         result = {"embed-j": embed_j, "d1": apply_D1, "moorify": moorify,
-                  "decapitate": decapitate}[args.op](m)
+                  "decapitate": decapitate}[args.op](load_machine(args.file))
     _emit_machine(result, args.output)
     return 0
-
-
-def _require_moore(m, what):
-    if not isinstance(m, MooreMachine):
-        raise MachineError("%s applies to Moore machines" % what)
-    return m
 
 
 def _verdict(label, ok):
@@ -145,27 +134,22 @@ def _verdict(label, ok):
 
 
 def _cmd_check(args):
-    if args.law in ("soft", "n-soft", "extension-square"):
-        m = _require_moore(load_machine(args.files[0]), "check " + args.law)
-        if args.law == "soft":
-            return _verdict("soft", is_soft(m))
-        if args.law == "n-soft":
-            return _verdict("%d-soft" % args.n, is_n_soft(m, args.n))
+    if args.law == "pentagon" and len(args.files) != 4:
+        raise MachineError("check pentagon takes four machine files")
+    machines = list(map(load_machine, args.files))
+    m = machines[0]
+    if args.law == "soft":
+        return _verdict("soft", is_soft(m))
+    if args.law == "n-soft":
+        return _verdict("%d-soft" % args.n, is_n_soft(m, args.n))
+    if args.law == "extension-square":
         return _verdict("extension-square(≤%d)" % args.maxlen,
                         check_extension_square(m, args.maxlen))
     if args.law == "counit":
-        m = load_machine(args.files[0])
-        if not isinstance(m, MealyMachine):
-            raise MachineError("check counit applies to Mealy machines")
         return _verdict("counit", check_counit(m))
     if args.law == "j-compat":
-        m, n = map(load_machine, args.files)
-        return _verdict("j-compat", check_j_compatibilities(m, n))
-    if args.law == "pentagon":
-        if len(args.files) != 4:
-            raise MachineError("check pentagon takes four machine files")
-        return _verdict("pentagon", check_pentagon(*map(load_machine, args.files)))
-    raise MachineError("unknown law %r" % args.law)
+        return _verdict("j-compat", check_j_compatibilities(*machines))
+    return _verdict("pentagon", check_pentagon(*machines))
 
 
 def _cmd_homs(args):
@@ -181,11 +165,8 @@ def _cmd_homs(args):
 def _cmd_bijection(args):
     """``adjunction`` or ``correspondence``: a Moore file, then a Mealy file."""
     label = args.command
-    n = _require_moore(load_machine(args.moore), label)
-    m = load_machine(args.mealy)
-    if not isinstance(m, MealyMachine):
-        raise MachineError("%s takes a Moore file then a Mealy file" % label)
-    report = (check_adjunction_D1 if label == "adjunction" else check_hom_correspondence)(n, m)
+    check = check_adjunction_D1 if label == "adjunction" else check_hom_correspondence
+    report = check(load_machine(args.moore), load_machine(args.mealy))
     print("%s: %s" % (label, "SUCCESS" if report.success else "FAILURE"))
     print("  left homs: %d, right homs: %d" % (len(report.left.homs), len(report.right.homs)))
     if report.counterexample:
@@ -195,14 +176,7 @@ def _cmd_bijection(args):
 
 def _cmd_search_identity(args):
     a = _parse_alphabet(args.alphabet, "A")
-    probes = []
-    for path in args.probe or []:
-        probe = load_machine(path)
-        if not isinstance(probe, MealyMachine):
-            raise MachineError("probes must be Mealy machines")
-        probes.append(probe)
-    if not probes:
-        probes = [identity_cell(a)]
+    probes = [load_machine(path) for path in args.probe or []] or [identity_cell(a)]
     report = search_moore_identity(a, probes, args.max_states)
     print("candidates checked: %d" % report.candidates_checked)
     print("survivors: %d" % len(report.survivors))

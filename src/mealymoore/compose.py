@@ -25,6 +25,7 @@ from .core import (
     MealyMachine,
     MooreMachine,
     StateMap,
+    _require_kind,
     _Value,
     is_homomorphism,
 )
@@ -64,9 +65,8 @@ def compose_cells(second: Machine, first: Machine) -> Machine:
 
 
 def _require_kinds(name, second, first, second_kind, first_kind):
-    if not isinstance(second, second_kind) or not isinstance(first, first_kind):
-        raise KindMismatch("%s takes a %s after a %s"
-                           % (name, second_kind.__name__, first_kind.__name__))
+    _require_kind(second, second_kind, name + " (downstream)")
+    _require_kind(first, first_kind, name + " (upstream)")
 
 
 def compose_mealy(second: MealyMachine, first: MealyMachine) -> MealyMachine:

@@ -385,6 +385,24 @@ def _walk(m: Machine, i: int, letters) -> int:
     return i
 
 
+def _require_kind(m, kind, what: str) -> None:
+    """Raise KindMismatch unless m is a ``kind`` machine; ``what`` names
+    the operation (and the argument) that takes it."""
+    if not isinstance(m, kind):
+        raise KindMismatch("%s: expected a %s, got a %s" % (what, kind.__name__, type(m).__name__))
+
+
+def _require_parallel(m: Machine, n: Machine, what: str) -> None:
+    """Raise KindMismatch unless m and n are machines of one kind, and
+    EndpointMismatch unless they share input and output alphabets: the
+    two ends of a state map, a hom-set or a bisimilarity check."""
+    if type(m) is not type(n):
+        raise KindMismatch("%s: expected machines of one kind, got a %s and a %s"
+                           % (what, type(m).__name__, type(n).__name__))
+    if m.input.symbols != n.input.symbols or m.output.symbols != n.output.symbols:
+        raise EndpointMismatch("%s: expected common input and output alphabets" % what)
+
+
 def identity_cell(a: Alphabet) -> MealyMachine:
     """The one-state echo machine over input = output = a: the only
     identity 1-cell for sequential composition, and not of Moore type."""
@@ -404,11 +422,7 @@ class StateMap(_Value):
     _fields = ("source", "target", "map")
 
     def __init__(self, source: Machine, target: Machine, map: Mapping[State, State]):
-        if type(source) is not type(target):
-            raise KindMismatch("state maps relate machines of the same kind")
-        if (source.input.symbols != target.input.symbols
-                or source.output.symbols != target.output.symbols):
-            raise EndpointMismatch("state maps require common input and output alphabets")
+        _require_parallel(source, target, "StateMap")
         table, states, index = dict(map), source.states, target._index
         try:  # index() swallows its own lookup errors, so a KeyError is a missing entry
             img = tuple([index(table[e]) for e in states])

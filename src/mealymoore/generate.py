@@ -37,14 +37,6 @@ def _count(kind, inp, outp, n_states):
     return n_states ** cells * len(outp) ** (cells if kind._out_by_letter else n_states)
 
 
-def count_mealy(inp: Alphabet, outp: Alphabet, n_states: int) -> int:
-    return _count(MealyMachine, inp, outp, n_states)
-
-
-def count_moore(inp: Alphabet, outp: Alphabet, n_states: int) -> int:
-    return _count(MooreMachine, inp, outp, n_states)
-
-
 def _all(kind, inp, outp, n_states):
     states, cells = _state_names(n_states), n_states * len(inp)
     outs = cells if kind._out_by_letter else n_states  # entries in the output table

@@ -18,9 +18,7 @@ from .compose import ltimes
 from .core import (
     ENUMERATION_GUARD,
     Alphabet,
-    EndpointMismatch,
     EnumerationTooLarge,
-    KindMismatch,
     Machine,
     MachineError,
     MealyMachine,
@@ -28,6 +26,8 @@ from .core import (
     NotAHomomorphism,
     NotSoft,
     StateMap,
+    _require_kind,
+    _require_parallel,
     _Value,
     is_homomorphism,
 )
@@ -62,10 +62,7 @@ def enumerate_homs(m1: Machine, m2: Machine) -> HomSet:
     or an image, or forces nothing more.  Each choice is one search node;
     more than ENUMERATION_GUARD nodes raise EnumerationTooLarge.
     """
-    if type(m1) is not type(m2):
-        raise KindMismatch("hom-sets relate machines of the same kind")
-    if m1.input.symbols != m2.input.symbols or m1.output.symbols != m2.output.symbols:
-        raise EndpointMismatch("hom-sets require common alphabets")
+    _require_parallel(m1, m2, "enumerate_homs")
     k = len(m1.input.symbols)
     d1, d2, o1, o2 = m1._d, m2._d, m1._o, m2._o
     mealy = isinstance(m1, MealyMachine)
@@ -256,7 +253,8 @@ def search_moore_identity(
     and test whether U⋄m and m⋄U are bisimilar to m pointwise for every
     probe m.  The survivor list is expected to be empty whenever some
     probe has a letter-dependent output table.  With no probe nothing
-    would be checked, so an empty probe list raises.
+    would be checked, so an empty probe list raises; a Moore probe raises
+    KindMismatch before the first candidate is built.
 
     Only U⋄m is built: once it passes, m⋄U passes too.  At each step
     U⋄m from (u, e) emits U's current output, and U's state is fixed by
@@ -270,6 +268,8 @@ def search_moore_identity(
         raise MachineError("max_states must be ≥ 1")
     if not probes:
         raise MachineError("the identity search needs at least one probe")
+    for probe in probes:
+        _require_kind(probe, MealyMachine, "search_moore_identity probe")
     survivors = []
     failures = []
     checked = 0

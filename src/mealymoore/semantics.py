@@ -17,8 +17,6 @@ from typing import Iterable
 
 from .core import (
     EmptyWordOnMealy,
-    EndpointMismatch,
-    KindMismatch,
     Letter,
     Machine,
     MachineError,
@@ -26,6 +24,8 @@ from .core import (
     MooreMachine,
     State,
     UnknownSymbol,
+    _require_kind,
+    _require_parallel,
     _Value,
     _letter_indices,
     _walk,
@@ -114,10 +114,7 @@ def bisimilar(p: PointedMachine, q: PointedMachine) -> bool:
     kind: their starts share a block of ``_blocks`` on the disjoint union
     of their states."""
     m, n = p.machine, q.machine
-    if type(m) is not type(n):
-        raise KindMismatch("bisimilarity compares machines of the same kind")
-    if m.input.symbols != n.input.symbols or m.output.symbols != n.output.symbols:
-        raise EndpointMismatch("bisimilarity requires common alphabets")
+    _require_parallel(m, n, "bisimilar")
     block = _blocks(m, n)
     return block[p._i] == block[m._n + q._i]
 
@@ -133,10 +130,12 @@ def check_extension_square(m: MooreMachine, maxlen: int) -> bool:
     words repeat pairs already compared: the verdict is one pass over the
     table and does not depend on maxlen ≥ 1.  Given ``apply_D1``, which
     defines its output as out(δ(e, a)), the square holds by construction;
-    the test suite checks it against a word-exhaustion oracle.
+    the test suite checks it against a word-exhaustion oracle.  Raises
+    KindMismatch on a Mealy machine.
     """
     from .universal import apply_D1
 
+    _require_kind(m, MooreMachine, "check_extension_square")
     if maxlen < 1:
         raise MachineError("maxlen must be ≥ 1")
     o = m._o

@@ -23,6 +23,7 @@ from .core import (
     MooreMachine,
     State,
     UnknownSymbol,
+    _require_kind,
     _Value,
     _letter_indices,
     _walk,
@@ -74,14 +75,16 @@ def pinfty_carrier_check(x: Alphabet, depth: int) -> int:
 
 def embed_j(m: MooreMachine) -> MealyMachine:
     """D₀: view a Moore machine as a Mealy machine whose output ignores
-    the current letter."""
+    the current letter.  Raises KindMismatch on a Mealy machine."""
+    _require_kind(m, MooreMachine, "embed_j")
     o = tuple([b for b in m._o for _ in m.input.symbols])
     return MealyMachine._trusted(m.input, m.output, _d=m._d, _o=o, **m._names())
 
 
 def apply_D1(m: MooreMachine) -> MealyMachine:
     """D₁: same states and dynamics, but the output anticipates one step,
-    out'(e, a) = out(delta(e, a))."""
+    out'(e, a) = out(delta(e, a)).  Raises KindMismatch on a Mealy machine."""
+    _require_kind(m, MooreMachine, "apply_D1")
     o = tuple(map(m._o.__getitem__, m._d))
     return MealyMachine._trusted(m.input, m.output, _d=m._d, _o=o, **m._names())
 
@@ -111,7 +114,9 @@ def decapitate(m: MealyMachine) -> MooreMachine:
 
 def is_soft(m: MooreMachine) -> bool:
     """True iff the output map is invariant under one transition step:
-    out(delta(e, a)) = out(e) for all e, a."""
+    out(delta(e, a)) = out(e) for all e, a.  Raises KindMismatch on a
+    Mealy machine, which has no state output."""
+    _require_kind(m, MooreMachine, "is_soft")
     k, d, o = len(m.input.symbols), m._d, m._o
     return all(o[t] == o[x // k] for x, t in enumerate(d))
 
@@ -124,7 +129,9 @@ def is_n_soft(m: MooreMachine, n: int) -> bool:
     soft, i.e. 1-soft, implies n-soft for every n) but not under
     successors: the two-state period-2 oscillator over one letter, whose
     states emit different outputs, is 2-soft but neither 1- nor 3-soft.
+    Raises KindMismatch on a Mealy machine.
     """
+    _require_kind(m, MooreMachine, "is_n_soft")
     if n < 1:
         raise MachineError("n must be ≥ 1")
     k, d, o = len(m.input.symbols), m._d, m._o
@@ -159,7 +166,8 @@ def softness_level(m: MooreMachine, bound: int) -> SoftnessReport:
 
     The machine is then n-soft for every multiple n of that level, but
     the levels are not nested, so it need not be n-soft for the n in
-    between (see ``is_n_soft``).
+    between (see ``is_n_soft``).  Raises KindMismatch on a Mealy
+    machine, through ``is_n_soft``.
     """
     if bound < 1:
         raise MachineError("bound must be ≥ 1")

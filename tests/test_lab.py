@@ -8,6 +8,7 @@ from mealymoore import (
     Alphabet,
     EndpointMismatch,
     EnumerationTooLarge,
+    KindMismatch,
     MachineError,
     MealyMachine,
     MooreMachine,
@@ -17,6 +18,7 @@ from mealymoore import (
     apply_D1,
     check_adjunction_D1,
     check_counit,
+    check_extension_square,
     check_hom_correspondence,
     check_moorify_functorial,
     decapitate,
@@ -24,9 +26,11 @@ from mealymoore import (
     enumerate_homs,
     identity_cell,
     is_homomorphism,
+    is_n_soft,
     is_soft,
     moorify,
     search_moore_identity,
+    softness_level,
     universal_u,
 )
 from mealymoore import lab
@@ -356,3 +360,25 @@ class TestSearchMooreIdentity:
         assert report.failures == tuple(failures)
         warned = bool(survivors) and all(letter_independent(probe) for probe in probes)
         assert (report.probe_warning is not None) == warned
+
+
+# Each operation checks the kind it takes itself, so a library call with
+# the wrong kind raises instead of answering: par is Mealy, cpar and u2
+# are Moore.  The Moore probe u2 comes after a Mealy probe that every
+# candidate fails, so only a check before the first candidate reaches it.
+@pytest.mark.parametrize("call", [
+    lambda bits, par, cpar, u2: embed_j(par),
+    lambda bits, par, cpar, u2: apply_D1(par),
+    lambda bits, par, cpar, u2: is_soft(par),
+    lambda bits, par, cpar, u2: is_n_soft(par, 2),
+    lambda bits, par, cpar, u2: softness_level(par, 2),
+    lambda bits, par, cpar, u2: check_extension_square(par, 2),
+    lambda bits, par, cpar, u2: check_adjunction_D1(par, cpar),
+    lambda bits, par, cpar, u2: check_hom_correspondence(par, cpar),
+    lambda bits, par, cpar, u2: search_moore_identity(bits, [par, u2], 2),
+], ids=["embed_j", "apply_D1", "is_soft", "is_n_soft", "softness_level",
+        "check_extension_square", "check_adjunction_D1-swapped",
+        "check_hom_correspondence-swapped", "search_moore_identity-moore-probe"])
+def test_wrong_kind_raises(call, bits, par, cpar, u2):
+    with pytest.raises(KindMismatch):
+        call(bits, par, cpar, u2)
