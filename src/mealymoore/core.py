@@ -293,8 +293,18 @@ Machine = Union[MealyMachine, MooreMachine]
 
 
 def _raw_alphabet(name, symbols):
+    """The alphabet of a raw symbol list: strings as they are, integers
+    as their decimal text (a table's keys are strings in a file).  Any
+    other symbol, such as null, true or a list, is refused: its Python
+    repr is not what the file says."""
     if not isinstance(symbols, (list, tuple)):
         raise MissingEntry("%s alphabet must be a list of symbols" % name)
+    if {*map(type, symbols)} <= {str}:
+        return Alphabet(name, tuple(symbols))
+    for x in symbols:
+        if type(x) is not str and type(x) is not int:  # bool is an int subclass: refused
+            raise MissingEntry("%s symbol %s is neither a string nor an integer"
+                               % (name, reprlib.repr(x)))
     return Alphabet(name, tuple(map(str, symbols)))
 
 

@@ -188,7 +188,9 @@ def check_hom_correspondence(n: MooreMachine, m: MealyMachine) -> BijectionRepor
 
 def check_counit(m: MealyMachine) -> bool:
     """True iff projecting the buffered output component,
-    (b, e) ↦ e, is a Mealy homomorphism apply_D1(moorify(m)) → m."""
+    (b, e) ↦ e, is a Mealy homomorphism apply_D1(moorify(m)) → m.
+    Raises KindMismatch on a Moore machine."""
+    _require_kind(m, MealyMachine, "check_counit")
     src = apply_D1(moorify(m))  # its state (b, e) has index b·|m| + e
     return is_homomorphism(StateMap._trusted(src, m, tuple(range(m._n)) * len(m.output.symbols)))
 
@@ -208,8 +210,10 @@ def check_moorify_functorial(phi: StateMap) -> bool:
     The two moorifications are reused from the previous call when its
     endpoints were the very same objects, as they are for consecutive
     homs of one hom-set; the slot keeps at most two machines and their
-    two images alive until a call with other endpoints."""
+    two images alive until a call with other endpoints.  Raises
+    KindMismatch on a map between Moore machines."""
     global _moorified
+    _require_kind(phi.source, MealyMachine, "check_moorify_functorial")
     if not is_homomorphism(phi):
         raise NotAHomomorphism("moorify is only functorial on homomorphisms")
     source, target, src, tgt = _moorified

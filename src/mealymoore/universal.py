@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Optional
 
-from .compose import ltimes
+from .compose import compose_cells
 from .core import (
     Alphabet,
     Letter,
@@ -30,20 +30,14 @@ from .core import (
 )
 
 
-@functools.lru_cache(maxsize=256)
 def universal_u(x: Alphabet) -> MooreMachine:
     """The one-step delay register over x: the state becomes the last
     input letter, and the output is the current state.
 
-    Built once per symbol tuple and then shared, since ``Alphabet``
-    equality and hash ignore the name."""
-    states = x.symbols
-    delta = {(e, a): a for e in states for a in states}
-    out = {e: e for e in states}
-    return MooreMachine(x, x, states, delta, out)
+    Built once per symbol tuple and then shared (see ``_register``)."""
+    return _register(x.symbols, False)
 
 
-@functools.lru_cache(maxsize=256)
 def universal_p(x: Alphabet) -> MooreMachine:
     """The frozen register over x: the dynamics fixes the state and the
     output is the state, so every trace is constant.
@@ -54,10 +48,20 @@ def universal_p(x: Alphabet) -> MooreMachine:
     of those functions, |x|.  Like ``universal_u``, it is built once per
     symbol tuple and then shared.
     """
-    states = x.symbols
-    delta = {(e, a): e for e in states for a in states}
-    out = {e: e for e in states}
-    return MooreMachine(x, x, states, delta, out)
+    return _register(x.symbols, True)
+
+
+@functools.lru_cache(maxsize=256)
+def _register(symbols: tuple, frozen: bool) -> MooreMachine:
+    """The register over the alphabet of these symbols: frozen (the state
+    stays) or one-step (the state becomes the letter read); either way
+    the output is the state.  Cached on the symbol tuple, not on an
+    ``Alphabet``, whose Python-level hash and equality would run on every
+    ``moorify`` and ``decapitate``; the names of the callers' alphabets
+    are labels, so the register's alphabet is named ``X``."""
+    x = Alphabet("X", symbols)
+    delta = {(e, a): e if frozen else a for e in symbols for a in symbols}
+    return MooreMachine(x, x, symbols, delta, {e: e for e in symbols})
 
 
 def pinfty_carrier_check(x: Alphabet, depth: int) -> int:
@@ -101,15 +105,18 @@ def d_iter(m: Machine, e: State, word: Iterable[Letter]) -> State:
 
 def moorify(m: MealyMachine) -> MooreMachine:
     """Buffer a Mealy machine's output by one step: post-composition
-    with the universal one-step register over the output alphabet."""
-    return ltimes(universal_u(m.output), m)
+    with the universal one-step register over the output alphabet.
+    Raises KindMismatch on a Moore machine."""
+    _require_kind(m, MealyMachine, "moorify")
+    return compose_cells(universal_u(m.output), m)
 
 
 def decapitate(m: MealyMachine) -> MooreMachine:
     """Freeze a Mealy machine's output at its initial value:
     post-composition with the frozen register over the output alphabet.
-    The result is always soft."""
-    return ltimes(universal_p(m.output), m)
+    The result is always soft.  Raises KindMismatch on a Moore machine."""
+    _require_kind(m, MealyMachine, "decapitate")
+    return compose_cells(universal_p(m.output), m)
 
 
 def is_soft(m: MooreMachine) -> bool:

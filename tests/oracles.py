@@ -1,7 +1,8 @@
 """Independent oracles used to cross-check the library.
 
 Everything here recomputes results from first principles (folds over
-the named tables, bounded word exhaustion, brute-force counts, pairwise
+the named tables, bounded word exhaustion, a breadth-first search for a
+shortest distinguishing word, brute-force counts, pairwise
 table checks, a named-first random draw, the machine-file writer and
 reader as they were written first, on the named tables, and the
 text-mode file reader) rather than
@@ -85,6 +86,31 @@ def bisimilar_words(p_machine, p_start, q_machine, q_start):
     needs one more letter and there are fewer than N such rounds."""
     bound = len(p_machine.states) + len(q_machine.states)
     return words_agree(p_machine, p_start, q_machine, q_start, bound)
+
+
+def distinguishing_word(p_machine, p_start, q_machine, q_start):
+    """The shortest word on which the two pointed machines' traces
+    differ, or None if they agree on every word: breadth-first search
+    over the pairs of named states reached from the two starts by one
+    word, read from ``delta`` and ``out``, not from the index form.  A
+    pair is expanded once, so it is exact in O(|Q1|·|Q2|·|A|) steps."""
+    moore = isinstance(p_machine, MooreMachine)
+    letters = p_machine.input.symbols
+    seen, layer = {(p_start, q_start)}, [((p_start, q_start), ())]
+    while layer:
+        reached = []
+        for (x, y), word in layer:
+            if moore and p_machine.out[x] != q_machine.out[y]:
+                return word
+            for a in letters:
+                if not moore and p_machine.out[(x, a)] != q_machine.out[(y, a)]:
+                    return word + (a,)
+                pair = (p_machine.delta[(x, a)], q_machine.delta[(y, a)])
+                if pair not in seen:
+                    seen.add(pair)
+                    reached.append((pair, word + (a,)))
+        layer = reached
+    return None
 
 
 def extension_square_words(m, maxlen):

@@ -121,6 +121,36 @@ def test_bad_file_is_bad_input(tmp_path, capsys, command, name):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [["transform", "moorify"], ["transform", "decapitate"],
+                                  ["check", "counit"]], ids=" ".join)
+def test_kind_error_names_the_operation(files, capsys, argv):
+    assert main(argv + [files["cpar"]]) == 2
+    captured = capsys.readouterr()
+    name = {"counit": "check_counit"}.get(argv[1], argv[1])
+    assert captured.out == ""
+    assert captured.err == "error: %s: expected a MealyMachine, got a MooreMachine\n" % name
+
+
+def _symbol_doc(symbol):
+    """cpar with its input letter "0" replaced by ``symbol`` and its delta
+    rows keyed by str(symbol), as a reader applying str() would load it."""
+    doc = _cpar_doc()
+    doc["input"][0] = symbol
+    for row in doc["delta"].values():
+        row[str(symbol)] = row.pop("0")
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("symbol", [None, True, [1]], ids=json.dumps)
+def test_symbol_neither_string_nor_integer_is_bad_input(tmp_path, capsys, symbol):
+    path = tmp_path / "bad.machine"
+    path.write_bytes(_symbol_doc(symbol))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input symbol %r is neither a string nor an integer\n" % (symbol,)
+
+
 def test_huge_integer_is_bad_input(tmp_path, capsys):
     # 5000 digits: where int() limits its input, json.loads raises a bare
     # ValueError; elsewhere the document lacks its alphabets.  Both exit 2.

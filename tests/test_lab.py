@@ -25,6 +25,7 @@ from mealymoore import (
     embed_j,
     enumerate_homs,
     identity_cell,
+    identity_map,
     is_homomorphism,
     is_n_soft,
     is_soft,
@@ -382,3 +383,16 @@ class TestSearchMooreIdentity:
 def test_wrong_kind_raises(call, bits, par, cpar, u2):
     with pytest.raises(KindMismatch):
         call(bits, par, cpar, u2)
+
+
+# The error names the operation called, not the composition it runs on
+# the way, so moorify and decapitate check their argument themselves.
+@pytest.mark.parametrize("call", [
+    moorify, decapitate, check_counit,
+    lambda cpar: check_moorify_functorial(identity_map(cpar)),
+], ids=["moorify", "decapitate", "check_counit", "check_moorify_functorial"])
+def test_kind_error_names_the_operation_called(call, cpar, request):
+    with pytest.raises(KindMismatch) as got:
+        call(cpar)
+    name = request.node.callspec.id
+    assert str(got.value) == "%s: expected a MealyMachine, got a MooreMachine" % name

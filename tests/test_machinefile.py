@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import random
+import reprlib
 import sys
 import tempfile
 
@@ -169,6 +170,34 @@ class TestShapeErrors:
         doc["out"]["q0"]["0"] = "7"
         with pytest.raises(UnknownSymbol):
             machine_from_raw(parse_machine_text(json.dumps(doc)))
+
+
+def one_state_doc(letter, output):
+    """A one-state Moore document over these symbols, its tables naming
+    each symbol by str(), as a reader applying str() would load it."""
+    return {"version": 1, "kind": "moore", "input": [letter], "output": [output],
+            "states": ["s"], "delta": {"s": {str(letter): "s"}}, "out": {"s": str(output)}}
+
+
+class TestSymbolTypes:
+    @pytest.mark.parametrize("symbol", [None, True, False, [1], {"a": 1}, 1.5], ids=json.dumps)
+    @pytest.mark.parametrize("where", ["input", "output"])
+    def test_neither_string_nor_integer_refused(self, where, symbol):
+        doc = one_state_doc(symbol, "b") if where == "input" else one_state_doc("a", symbol)
+        with pytest.raises(MissingEntry) as got:
+            machine_from_raw(parse_machine_text(json.dumps(doc)))
+        assert str(got.value) == "%s symbol %s is neither a string nor an integer" % (
+            where, reprlib.repr(symbol))
+
+    def test_integers_read_as_their_decimal_text(self):
+        m = machine_from_raw(parse_machine_text(json.dumps(one_state_doc(0, -7))))
+        assert (m.input.symbols, m.output.symbols) == (("0",), ("-7",))
+        assert serialize_machine(m) == machine_text(m)
+
+    def test_repr_lookalike_strings_round_trip(self):
+        doc = one_state_doc("None", "[1]")
+        text = json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+        assert serialize_machine(machine_from_raw(parse_machine_text(text))) == text
 
 
 # State names that json must escape, or that render_state's brackets and

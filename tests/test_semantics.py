@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from mealymoore import (
     EndpointMismatch,
     KindMismatch,
     LetterOutOfAlphabet,
+    MealyMachine,
     MooreMachine,
     PointedMachine,
     UnknownSymbol,
@@ -26,7 +28,15 @@ from mealymoore import (
 )
 
 from conftest import BITS, make_cpar, make_par
-from oracles import bisimilar_words, extension_square_words, fold_run, fold_trace, words_agree
+from oracles import (
+    bisimilar_words,
+    distinguishing_word,
+    extension_square_words,
+    fold_run,
+    fold_trace,
+    random_named,
+    words_agree,
+)
 from test_properties import alphabets, mealys, moores
 
 
@@ -50,6 +60,61 @@ def family_machine(shape, n, mark, names):
             delta[(e, "0")] = e
     out = {e: "1" if i == mark else "0" for i, e in enumerate(names)}
     return MooreMachine(BITS, BITS, tuple(names), delta, out)
+
+
+def unfolded(rng, m, flip=False):
+    """A machine with two copies e#0 and e#1 of each state e of m, each
+    transition going to a copy, drawn by rng, of the target: every copy
+    is bisimilar to its original.  With ``flip``, one drawn output
+    cell of one drawn copy is changed when the output alphabet allows."""
+    def copy(e, c):
+        return "%s#%d" % (e, c)
+
+    mealy = isinstance(m, MealyMachine)
+    states = tuple(copy(e, c) for e in m.states for c in (0, 1))
+    delta = {(copy(e, c), a): copy(t, rng.randrange(2))
+             for (e, a), t in m.delta.items() for c in (0, 1)}
+    out = {(copy(key[0], c), key[1]) if mealy else copy(key, c): b
+           for key, b in m.out.items() for c in (0, 1)}
+    if flip:
+        cell = rng.choice(sorted(out))
+        out[cell] = next((b for b in m.output.symbols if b != out[cell]), out[cell])
+    return type(m)(m.input, m.output, states, delta, out)
+
+
+def agrees_with_distinguishing_word(p, q):
+    """bisimilar(p, q) is True iff the oracle finds no word on which the
+    traces differ; a word it finds is checked by folding both traces, and
+    its proper prefixes do not separate them."""
+    word = distinguishing_word(p.machine, p.start, q.machine, q.start)
+    if word is not None:
+        assert fold_trace(p.machine, p.start, word) != fold_trace(q.machine, q.start, word)
+        if word:
+            shorter = word[:-1]
+            assert fold_trace(p.machine, p.start, shorter) == fold_trace(q.machine, q.start, shorter)
+    return bisimilar(p, q) == (word is None)
+
+
+@st.composite
+def pointed_pairs(draw, min_states=5, max_states=60):
+    """Two pointed machines of one drawn kind with min_states..max_states
+    states each, over a common input alphabet of 1–2 letters and a
+    common output alphabet of 2–3 letters: independent, or
+    the second an unfolding of the first (bisimilar at corresponding
+    starts) with or without one changed output cell."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from((MealyMachine, MooreMachine)))
+    inp, outp = draw(alphabets(2)), draw(alphabets(3).filter(lambda a: len(a) > 1))
+    m1 = kind(inp, outp, *random_named(rng, kind, inp, outp,
+                                       draw(st.integers(min_states, max_states))))
+    s1 = rng.choice(m1.states)
+    how = draw(st.sampled_from(("independent", "unfolded", "unfolded-flipped")))
+    if how == "independent":
+        m2 = kind(inp, outp, *random_named(rng, kind, inp, outp,
+                                           draw(st.integers(min_states, max_states))))
+        return PointedMachine(m1, s1), PointedMachine(m2, rng.choice(m2.states))
+    m2 = unfolded(rng, m1, flip=how == "unfolded-flipped")
+    return PointedMachine(m1, s1), PointedMachine(m2, "%s#%d" % (s1, rng.randrange(2)))
 
 
 class TestRun:
@@ -213,16 +278,80 @@ class TestBisimilar:
         assert bisimilar(PointedMachine(m1, s1), PointedMachine(m2, s2)) == bisimilar_words(
             m1, s1, m2, s2)
 
-    @pytest.mark.parametrize("shape,n", [("chain", 200), ("counter", 201)])
+    @pytest.mark.parametrize("shape,n", [("chain", 200), ("counter", 201),
+                                         ("chain", 3200), ("counter", 3201)])
     def test_long_families(self, shape, n):
-        # Positions 1 and 2 first differ after about n letters, so the
-        # refinement runs about n rounds.
+        # Positions 1 and 2 first differ after about n letters, which took
+        # a whole-partition refinement about n rounds; the union-find check
+        # relates at most 2n − 1 pairs.
         mark = n - 1 if shape == "chain" else 0
         m = family_machine(shape, n, mark, ["l%d" % i for i in range(n)])
         k = family_machine(shape, n, mark, ["r%d" % i for i in range(n)])
         k = MooreMachine(k.input, k.output, k.states[::-1], k.delta, k.out)
         assert bisimilar(PointedMachine(m, "l1"), PointedMachine(k, "r1"))
         assert not bisimilar(PointedMachine(m, "l1"), PointedMachine(k, "r2"))
+
+
+class TestBisimilarAgainstDistinguishingWord:
+    """bisimilar against the breadth-first oracle, which reads the named
+    tables and returns the shortest separating word, on machines too
+    large for word exhaustion."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pointed_pairs())
+    def test_random_pairs(self, pair):
+        assert agrees_with_distinguishing_word(*pair)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_pairs_differing_only_in_unreachable_states(self, data):
+        # Both machines add states outside the part reachable from the
+        # start, with their own tables; only the reachable part decides.
+        p, _ = data.draw(pointed_pairs(max_states=20))
+        m, rng = p.machine, random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        extended = []
+        for side in ("x", "y"):
+            extra = tuple("%s%d" % (side, i) for i in range(rng.randint(1, 10)))
+            states = m.states + extra
+            delta = dict(m.delta)
+            delta.update({(e, a): rng.choice(states) for e in extra for a in m.input.symbols})
+            out = dict(m.out)
+            keys = ([(e, a) for e in extra for a in m.input.symbols]
+                    if isinstance(m, MealyMachine) else extra)
+            out.update({key: rng.choice(m.output.symbols) for key in keys})
+            extended.append(type(m)(m.input, m.output, states, delta, out))
+        left, right = (PointedMachine(x, p.start) for x in extended)
+        assert bisimilar(left, right)
+        assert agrees_with_distinguishing_word(left, right)
+        for e in extended[1].states[-3:]:
+            assert agrees_with_distinguishing_word(left, PointedMachine(extended[1], e))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pointed_pairs(), st.data())
+    def test_two_starts_in_one_machine(self, pair, data):
+        for p in pair:
+            other = data.draw(st.sampled_from(p.machine.states))
+            assert agrees_with_distinguishing_word(p, PointedMachine(p.machine, other))
+        q = pair[1]
+        if "#" in q.start:  # the other copy of an unfolding's start
+            e, c = q.start.split("#")
+            other = "%s#%d" % (e, 1 - int(c))
+            assert agrees_with_distinguishing_word(q, PointedMachine(q.machine, other))
+
+    @pytest.mark.parametrize("n", [5, 50, 200, 400])
+    @pytest.mark.parametrize("shape", ["chain", "counter"])
+    def test_families(self, shape, n):
+        mark = n - 1 if shape == "chain" else 0
+        m = family_machine(shape, n, mark, ["l%d" % i for i in range(n)])
+        k = family_machine(shape, n, mark, ["r%d" % i for i in range(n)])
+        k = MooreMachine(k.input, k.output, k.states[::-1], k.delta, k.out)
+        verdicts = []
+        for i, j in [(0, 0), (1, 1), (1, 2), (2, 1), (n - 1, n - 1), (n - 2, n - 1), (0, n // 2)]:
+            p, q = PointedMachine(m, "l%d" % i), PointedMachine(k, "r%d" % j)
+            assert agrees_with_distinguishing_word(p, q)
+            assert agrees_with_distinguishing_word(p, PointedMachine(m, "l%d" % j))
+            verdicts.append(bisimilar(p, q))
+        assert True in verdicts and False in verdicts
 
 
 class TestExtensionSquare:

@@ -44,6 +44,27 @@ class TestUniversalU:
         assert len(universal_u(three).states) == 3
 
 
+class TestRegisterCache:
+    def test_keyed_by_the_symbol_tuple(self, par, monkeypatch):
+        # After the first call the registers come from the cache without
+        # hashing or comparing an Alphabet, which runs Python code.
+        first = moorify(par), decapitate(par)
+        calls = []
+        for name in ("__hash__", "__eq__"):
+            method = getattr(Alphabet, name)
+            monkeypatch.setattr(Alphabet, name,
+                                lambda self, *other, _m=method, _n=name: calls.append(_n)
+                                or _m(self, *other))
+        again = [(moorify(par), decapitate(par)) for _ in range(3)]
+        monkeypatch.undo()
+        assert calls == []
+        assert all(pair == first for pair in again)
+        renamed = Alphabet("renamed", par.output.symbols)
+        assert universal_u(renamed) is universal_u(par.output)
+        assert universal_p(renamed) is universal_p(par.output)
+        assert universal_u(renamed) is not universal_p(renamed)
+
+
 class TestUniversalP:
     def test_soft(self, p2):
         assert is_soft(p2)
