@@ -47,21 +47,26 @@ def compose_cells(second: Machine, first: Machine) -> Machine:
     this output ignores a, and the composite is a MooreMachine.
 
     Built on the index form: the state (f, e) is f·|first| + e, and b,
-    an index into first's output symbols, is a letter index of second."""
+    an index into first's output symbols, is a letter index of second.
+    Second's targets are scaled by |first| once and cut into rows, one
+    per state f, and first's (target, emitted letter) cells are paired
+    once, so each composite cell is ``row[b] + t``: one lookup and one
+    addition, with no index arithmetic."""
     _require_chain(second, first)
-    k, k2, n1 = len(first.input.symbols), len(second.input.symbols), first._n
-    d1, o1, d2, o2 = first._d, first._o, second._d, second._o
-    rows = range(0, len(d2), k2)  # f·k₂ for each state f of second
-    first_mealy = isinstance(first, MealyMachine)
-    emit = o1 if first_mealy else [b for b in o1 for _ in range(k)]  # b at e·k + a
-    d = tuple([d2[y + b] * n1 + t for y in rows for t, b in zip(d1, emit)])
-    if isinstance(second, MooreMachine):
+    k2, n1 = len(second.input.symbols), first._n
+    o1, o2 = first._o, second._o
+    first_mealy, second_mealy = first._out_by_letter, second._out_by_letter
+    emit = o1 if first_mealy else [b for b in o1 for _ in first.input.symbols]  # b at e·k + a
+    cells = list(zip(first._d, emit))
+    rows = zip(*[iter([t * n1 for t in second._d])] * k2)  # (δ₂(f, b)·|first| for each b), per f
+    d = tuple([row[b] + t for row in rows for t, b in cells])
+    if second_mealy:  # out₂(f, b) with b = out₁(e, a), or out₁(e) when first is Moore
+        o = tuple([row[b] for row in zip(*[iter(o2)] * k2) for b in o1])
+    else:
         o = tuple([o for o in o2 for _ in range(n1)])
-    else:  # out₂(f, b) with b = out₁(e, a), or out₁(e) when first is Moore
-        o = tuple([o2[y + b] for y in rows for b in o1])
-    kind = MealyMachine if first_mealy and isinstance(second, MealyMachine) else MooreMachine
-    return kind._trusted(first.input, second.output, _d=d, _o=o, _n=second._n * n1,
-                         _factors=(second, first))
+    kind = MealyMachine if first_mealy and second_mealy else MooreMachine
+    return kind._trusted(first.input, second.output,
+                         {"_d": d, "_o": o, "_n": second._n * n1, "_factors": (second, first)})
 
 
 def _require_kinds(name, second, first, second_kind, first_kind):
@@ -139,8 +144,8 @@ def associator(h: Machine, g: Machine, f: Machine) -> StateBijection:
     by (h, g⋄f): both maps are the identity, inverse homomorphisms by definition.
     """
     left = compose_cells(compose_cells(h, g), f)
-    right = type(left)._trusted(f.input, h.output, _d=left._d, _o=left._o, _n=left._n,
-                                _factors=(h, compose_cells(g, f)))
+    right = type(left)._trusted(f.input, h.output, {"_d": left._d, "_o": left._o, "_n": left._n,
+                                                    "_factors": (h, compose_cells(g, f))})
     same = tuple(range(left._n))
     return StateBijection._trusted(
         left, right, StateMap._trusted(left, right, same), StateMap._trusted(right, left, same)

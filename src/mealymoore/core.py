@@ -218,14 +218,16 @@ class _Machine(_Value):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _trusted(cls, input, output, **tables):
+    def _trusted(cls, input, output, tables):
         """A machine from tables the library built total and well-typed
-        itself: no check, no copy.  ``tables`` are the index form ``_d``,
+        itself: no check, no copy.  ``tables`` is a new dict, which the
+        machine keeps as its instance dict, of the index form ``_d``,
         ``_o`` and ``_n`` (the state count) with the state names:
         ``states``, a tuple, or ``_factors``, the pair (second, first) of
         a composite, whose state (f, e) has index f·|first| + e."""
         m = object.__new__(cls)
-        m.__dict__.update(tables, input=input, output=output)
+        tables["input"], tables["output"] = input, output
+        object.__setattr__(m, "__dict__", tables)
         return m
 
     @_lazy
@@ -248,22 +250,29 @@ class _Machine(_Value):
     def _pos(self):
         return dict(zip(self.states, range(self._n)))
 
+    _factors = None  # a composite's (second, first), set by ``_trusted``
+
     def _index(self, s):
-        """The index of state s, or None if s is not a state."""
-        factors = self.__dict__.get("_factors")
+        """The index of state s, or None if s is not a state: on a
+        composite, a pair (f, e) of states of its factors."""
+        factors = self._factors
         if factors is None:
             try:
                 return self._pos[s]
             except (KeyError, TypeError):  # TypeError: an unhashable name
                 return None
-        if not isinstance(s, tuple) or len(s) != 2:
+        if not isinstance(s, tuple) or len(s) != 2:  # a namedtuple pair names a state too
             return None
-        f, e = factors[0]._index(s[0]), factors[1]._index(s[1])
-        return None if f is None or e is None else f * factors[1]._n + e
+        second, first = factors
+        f = second._index(s[0])
+        if f is None:
+            return None
+        e = first._index(s[1])
+        return None if e is None else f * first._n + e
 
     def _names(self):
         """The state fields, for a machine on the same states."""
-        factors = self.__dict__.get("_factors")
+        factors = self._factors
         return {"_n": self._n, **({"_factors": factors} if factors else {"states": self.states})}
 
     def __eq__(self, other):
@@ -358,7 +367,7 @@ def _validate_raw(raw, cls):
         d = _walk_rows(raw.get("delta"), states, inp.symbols, pos)
         o = _walk_rows(raw.get("out"), states, inp.symbols if cls._out_by_letter else None, code)
         if n and len(pos) == n and d is not None and o is not None:
-            return cls._trusted(inp, outp, states=states, _pos=pos, _d=d, _o=o, _n=n)
+            return cls._trusted(inp, outp, {"states": states, "_pos": pos, "_d": d, "_o": o, "_n": n})
     except (KeyError, TypeError):  # TypeError: an unhashable name or value
         pass
     delta = _flatten_table(raw.get("delta", {}), "delta")
@@ -376,23 +385,48 @@ def validate_moore(raw: Mapping) -> MooreMachine:
     return _validate_raw(raw, MooreMachine)
 
 
-def _letter_indices(m: Machine, word) -> list:
-    """The input-letter indices of ``word``, mapped once per call."""
-    word = tuple(word)
-    code = dict(zip(m.input.symbols, range(len(m.input.symbols))))
+_NO_LETTER = object()
+
+
+def _walk(m: Machine, i: int, word, emit=None) -> list:
+    """What ``word`` emits from state index i, read in one pass over it:
+    with ``emit``, a sequence over state indices, emit[e] of every state e
+    visited, the start first; without it, the Mealy output symbol of
+    every (state, letter) cell read.
+
+    Per call, ``_d`` is cut into one column per input letter, d[j::k],
+    keyed by the letter symbol (a Mealy machine's output symbols are cut
+    the same way), so each step is ``i = column[a][i]``, with no decode
+    pass and no index arithmetic.  The first undeclared or unhashable
+    letter raises LetterOutOfAlphabet when the walk reaches it."""
+    symbols, d = m.input.symbols, m._d
+    k = len(symbols)
+    a = _NO_LETTER
     try:
-        return list(map(code.__getitem__, word))
+        if emit is not None:
+            columns = dict(zip(symbols, [d[j::k] for j in range(k)]))
+            out = [emit[i]]
+            for a in word:
+                i = columns[a][i]
+                out.append(emit[i])
+        else:
+            names = m.output.symbols
+            emitted = [names[b] for b in m._o]  # not map(names.__getitem__): a slow slot wrapper
+            columns = dict(zip(symbols, [(d[j::k], emitted[j::k]) for j in range(k)]))
+            out = []
+            for a in word:
+                column, emits = columns[a]
+                out.append(emits[i])
+                i = column[i]
     except (KeyError, TypeError):  # TypeError: an unhashable letter
-        bad = next(a for a in word if a not in m.input.symbols)
-        raise LetterOutOfAlphabet("letter %r is not in the input alphabet" % (bad,)) from None
-
-
-def _walk(m: Machine, i: int, letters) -> int:
-    """The index of the state reached from state index i on ``letters``."""
-    k, d = len(m.input.symbols), m._d
-    for a in letters:
-        i = d[i * k + a]
-    return i
+        try:
+            declared = a is _NO_LETTER or a in columns
+        except TypeError:
+            declared = False
+        if declared:
+            raise  # raised by the word's own iterator, not by a lookup
+        raise LetterOutOfAlphabet("letter %r is not in the input alphabet" % (a,)) from None
+    return out
 
 
 def _require_kind(m, kind, what: str) -> None:

@@ -42,7 +42,8 @@ def _all(kind, inp, outp, n_states):
     outs = cells if kind._out_by_letter else n_states  # entries in the output table
     for targets in itertools.product(range(n_states), repeat=cells):
         for letters in itertools.product(range(len(outp)), repeat=outs):
-            yield kind._trusted(inp, outp, _d=targets, _o=letters, _n=n_states, states=states)
+            yield kind._trusted(inp, outp, {"_d": targets, "_o": letters, "_n": n_states,
+                                            "states": states})
 
 
 def all_mealy(inp: Alphabet, outp: Alphabet, n_states: int) -> Iterator[MealyMachine]:
@@ -78,7 +79,7 @@ def _random(kind, rng, inp, outp, n_states):
     cells, targets, letters = n_states * len(inp), tuple(range(n_states)), tuple(range(len(outp)))
     d = tuple([rng.choice(targets) for _ in range(cells)])
     o = tuple([rng.choice(letters) for _ in range(cells if kind._out_by_letter else n_states)])
-    return kind._trusted(inp, outp, _d=d, _o=o, _n=n_states, states=states)
+    return kind._trusted(inp, outp, {"_d": d, "_o": o, "_n": n_states, "states": states})
 
 
 def random_mealy(rng: random.Random, inp: Alphabet, outp: Alphabet, n_states: int) -> MealyMachine:

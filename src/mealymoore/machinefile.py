@@ -111,7 +111,7 @@ def render_state(s: Union[str, tuple]) -> str:
 def _names(m: Machine) -> list:
     """The rendered state names of m in index order; a composite's are
     built from its factors' rendered names, each rendered once."""
-    factors = m.__dict__.get("_factors")
+    factors = m._factors
     if factors is None:
         return list(map(render_state, m.states))
     first = _names(factors[1])

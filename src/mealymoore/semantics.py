@@ -2,8 +2,11 @@
 
 Machines are unpointed 1-cells; running a word requires choosing a start
 state, supplied per call through ``PointedMachine``.  Words are consumed
-left to right.  Mealy machines are evaluated on nonempty words only;
-Moore machines also answer on the empty word.
+left to right, once, so any iterable of letters will do, a generator
+included: ``run``, ``trace`` and ``universal.d_iter`` share one walker,
+``core._walk``, which reads each letter as it comes and raises
+LetterOutOfAlphabet at the first bad one.  Mealy machines are evaluated
+on nonempty words only; Moore machines also answer on the empty word.
 
 Behavioral equivalence of two given states is decided exactly by
 Hopcroft and Karp's union-find check, which relates only the pairs of
@@ -30,7 +33,6 @@ from .core import (
     _require_kind,
     _require_parallel,
     _Value,
-    _letter_indices,
     _walk,
 )
 
@@ -52,35 +54,26 @@ class PointedMachine(_Value):
 def run(p: PointedMachine, word: Iterable[Letter]) -> Letter:
     """The output after ``word`` from the start state: that of the state
     reached (Moore, which also answers on the empty word) or of the last
-    (state, letter) cell (Mealy).  Only it is read: O(|w|) at any size."""
+    (state, letter) cell (Mealy).  One walk over the word (``_walk``),
+    O(|Q|·|A| + |w|) in all."""
     m = p.machine
-    letters = _letter_indices(m, word)
     if isinstance(m, MooreMachine):
-        return m.output.symbols[m._o[_walk(m, p._i, letters)]]
-    if not letters:
+        return m.output.symbols[_walk(m, p._i, word, m._o)[-1]]
+    emitted = _walk(m, p._i, word)
+    if not emitted:
         raise EmptyWordOnMealy("a Mealy machine has no output on the empty word")
-    x = _walk(m, p._i, letters[:-1]) * len(m.input.symbols) + letters[-1]
-    return m.output.symbols[m._o[x]]
+    return emitted[-1]
 
 
 def trace(p: PointedMachine, word: Iterable[Letter]) -> tuple[Letter, ...]:
-    """The outputs emitted on ``word``, in one pass through a per-call
-    symbol table: |w| of them for a Mealy machine, |w|+1 for a Moore
-    machine (the output of every visited state, the start first)."""
-    m, i = p.machine, p._i
-    k, d, emit = len(m.input.symbols), m._d, tuple(map(m.output.symbols.__getitem__, m._o))
+    """The outputs emitted on ``word``, in one walk over it (``_walk``):
+    |w| of them for a Mealy machine, |w|+1 for a Moore machine (the
+    output of every visited state, the start first)."""
+    m = p.machine
     if isinstance(m, MealyMachine):
-        out = []
-        for a in _letter_indices(m, word):
-            x = i * k + a
-            out.append(emit[x])
-            i = d[x]
-        return tuple(out)
-    out = [emit[i]]
-    for a in _letter_indices(m, word):
-        i = d[i * k + a]
-        out.append(emit[i])
-    return tuple(out)
+        return tuple(_walk(m, p._i, word))
+    names = m.output.symbols
+    return tuple(_walk(m, p._i, word, [names[b] for b in m._o]))
 
 
 def _renumber(signatures):

@@ -25,7 +25,6 @@ from .core import (
     UnknownSymbol,
     _require_kind,
     _Value,
-    _letter_indices,
     _walk,
 )
 
@@ -82,7 +81,7 @@ def embed_j(m: MooreMachine) -> MealyMachine:
     the current letter.  Raises KindMismatch on a Mealy machine."""
     _require_kind(m, MooreMachine, "embed_j")
     o = tuple([b for b in m._o for _ in m.input.symbols])
-    return MealyMachine._trusted(m.input, m.output, _d=m._d, _o=o, **m._names())
+    return MealyMachine._trusted(m.input, m.output, {"_d": m._d, "_o": o, **m._names()})
 
 
 def apply_D1(m: MooreMachine) -> MealyMachine:
@@ -90,17 +89,18 @@ def apply_D1(m: MooreMachine) -> MealyMachine:
     out'(e, a) = out(delta(e, a)).  Raises KindMismatch on a Mealy machine."""
     _require_kind(m, MooreMachine, "apply_D1")
     o = tuple(map(m._o.__getitem__, m._d))
-    return MealyMachine._trusted(m.input, m.output, _d=m._d, _o=o, **m._names())
+    return MealyMachine._trusted(m.input, m.output, {"_d": m._d, "_o": o, **m._names()})
 
 
 def d_iter(m: Machine, e: State, word: Iterable[Letter]) -> State:
     """The left-to-right fold of the dynamics over a word; the empty
-    word is the identity on states."""
-    letters = _letter_indices(m, word)
+    word is the identity on states.  A bad letter is reported before
+    an undeclared state."""
     i = m._index(e)
     if i is None:
+        _walk(m, 0, word, m.states)  # raises on the first bad letter
         raise UnknownSymbol("state %r is not declared" % (e,))
-    return m.states[_walk(m, i, letters)] if letters else e
+    return _walk(m, i, word, m.states)[-1]
 
 
 def moorify(m: MealyMachine) -> MooreMachine:

@@ -19,6 +19,7 @@ from mealymoore import (
     compose_cells,
     compose_mealy,
     compose_moore,
+    d_iter,
     embed_j,
     identity_cell,
     identity_map,
@@ -26,6 +27,7 @@ from mealymoore import (
     ltimes,
     moorify,
     rtimes,
+    run,
     trace,
     universal_p,
     universal_u,
@@ -33,7 +35,16 @@ from mealymoore import (
 from mealymoore.compose import NotAnIso
 from mealymoore.generate import random_cell, random_mealy, random_moore
 
-from oracles import cascade, fold_trace, letter_independent, rebracketed, tables
+from oracles import (
+    cascade,
+    cascade_machine,
+    fold_run,
+    fold_state,
+    fold_trace,
+    letter_independent,
+    rebracketed,
+    tables,
+)
 
 
 class TestComposeMealy:
@@ -272,3 +283,55 @@ def test_compose_cells_dispatch(par, cpar, u2):
     assert isinstance(compose_cells(cpar, u2), MooreMachine)
     assert isinstance(compose_cells(par, cpar), MooreMachine)
     assert isinstance(compose_cells(cpar, par), MooreMachine)
+
+
+_KINDS = {"mealy": random_mealy, "moore": random_moore}
+_TRIPLES = ("xyz", "pq", "ijk", "uv")
+
+
+def _factor(rng, kind, inp, outp, n):
+    return _KINDS[kind](rng, Alphabet(inp, tuple(inp)), Alphabet(outp, tuple(outp)), n)
+
+
+class TestPast256States:
+    """Composites whose state and cell indices pass CPython's cache of
+    small integers (up to 256), on which the kernels stop reusing int
+    objects: 18×16 over three letters (288 states, 864 cells) and a
+    nested 7×7×7 (343 states), their tables against the oracle and
+    their walks on words of 1,000–3,000 letters against folds of the
+    oracle's named tables."""
+
+    @staticmethod
+    def _walks_agree(m, oracle, rng):
+        letters = m.input.symbols
+        for start in rng.sample(m.states, 3):
+            word = tuple(rng.choices(letters, k=rng.randint(1000, 3000)))
+            p = PointedMachine(m, start)
+            assert trace(p, word) == fold_trace(oracle, start, word)
+            assert run(p, word) == fold_run(oracle, start, word)
+            assert d_iter(m, start, word) == fold_state(oracle, start, word)
+
+    @pytest.mark.parametrize("second_kind, first_kind",
+                             list(itertools.product(_KINDS, repeat=2)))
+    def test_two_factors(self, second_kind, first_kind):
+        rng = random.Random(second_kind + first_kind)
+        first = _factor(rng, first_kind, "abc", "pq", 16)
+        second = _factor(rng, second_kind, "pq", "xyz", 18)
+        m = compose_cells(second, first)
+        assert len(m.states) == 288
+        assert tables(m) == cascade(second, first)
+        self._walks_agree(m, cascade_machine(second, first), rng)
+
+    @pytest.mark.parametrize("kinds", [("mealy", "mealy", "mealy"), ("moore", "mealy", "moore"),
+                                       ("mealy", "moore", "mealy")])
+    def test_nested_three_factors(self, kinds):
+        rng = random.Random("/".join(kinds))
+        f, g, h = (_factor(rng, kind, _TRIPLES[j], _TRIPLES[j + 1], 7)
+                   for j, kind in enumerate(kinds))
+        inner = cascade_machine(g, f)
+        right = compose_cells(h, compose_cells(g, f))
+        left = compose_cells(compose_cells(h, g), f)
+        assert len(right.states) == len(left.states) == 343
+        assert tables(right) == cascade(h, inner)
+        assert tables(left) == cascade(cascade_machine(h, g), f)
+        self._walks_agree(right, cascade_machine(h, inner), rng)

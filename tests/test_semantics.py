@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -19,6 +20,7 @@ from mealymoore import (
     check_extension_square,
     compose_cells,
     compose_mealy,
+    d_iter,
     identity_cell,
     run,
     trace,
@@ -30,9 +32,11 @@ from mealymoore import (
 from conftest import BITS, make_cpar, make_par
 from oracles import (
     bisimilar_words,
+    cascade_machine,
     distinguishing_word,
     extension_square_words,
     fold_run,
+    fold_state,
     fold_trace,
     random_named,
     words_agree,
@@ -155,6 +159,12 @@ class TestRun:
             with pytest.raises(UnknownSymbol):
                 PointedMachine(m, start)
 
+    def test_composite_start_may_be_a_tuple_subclass(self, par, cpar):
+        pair = collections.namedtuple("pair", "second first")
+        m = compose_cells(par, compose_cells(par, cpar))
+        p = PointedMachine(m, pair("q1", pair("q0", "q1")))
+        assert p._i == PointedMachine(m, ("q1", ("q0", "q1")))._i
+
     def test_agrees_with_fold_oracle(self, par, cpar):
         for m, start in [(par, "q0"), (par, "q1"), (cpar, "q0")]:
             for w in words_up_to(m.input, 4, include_empty=False):
@@ -190,6 +200,66 @@ class TestTrace:
         for m in (par, cpar):
             for w in words_up_to(m.input, 4):
                 assert trace(PointedMachine(m, "q0"), w) == fold_trace(m, "q0", w)
+
+
+class TestOneShotWords:
+    """Words are read once, as they come: a generator walks like the
+    same word given as a str or a tuple, and a bad letter is reported
+    at the step that reads it, before any later letter is drawn."""
+
+    TEXT = "0110100111010001101" * 30
+
+    def _machines(self, par, cpar):
+        for second in (par, cpar):
+            for first in (par, cpar):
+                yield compose_cells(second, first), cascade_machine(second, first)
+        yield par, par
+        yield cpar, cpar
+
+    @staticmethod
+    def _walks(m, start):
+        """trace, run and d_iter from start, each as a function of the word."""
+        return (lambda w: trace(PointedMachine(m, start), w),
+                lambda w: run(PointedMachine(m, start), w),
+                lambda w: d_iter(m, start, w))
+
+    def test_generator_str_and_tuple_agree(self, par, cpar):
+        for m, oracle in self._machines(par, cpar):
+            start = m.states[-1]
+            expected = (fold_trace(oracle, start, self.TEXT), fold_run(oracle, start, self.TEXT),
+                        fold_state(oracle, start, self.TEXT))
+            for form in (str, tuple, lambda text: (a for a in text), iter):
+                assert tuple(walk(form(self.TEXT)) for walk in self._walks(m, start)) == expected
+
+    def test_bad_letter_late_in_a_generator(self, par, cpar):
+        for m, _ in self._machines(par, cpar):
+            start = m.states[0]
+            for bad in ("2", ["1"]):  # an undeclared letter, an unhashable one
+                for walk in self._walks(m, start):
+                    word = itertools.chain(self.TEXT, [bad], "01")
+                    with pytest.raises(LetterOutOfAlphabet) as err:
+                        walk(word)
+                    assert str(err.value) == "letter %r is not in the input alphabet" % (bad,)
+                    assert next(word) == "0"  # nothing after the bad letter was drawn
+
+    def test_d_iter_reports_a_bad_letter_before_an_unknown_state(self, par, cpar):
+        for m, _ in self._machines(par, cpar):
+            with pytest.raises(LetterOutOfAlphabet, match="'x'"):
+                d_iter(m, "nope", (a for a in "0110x1"))
+            with pytest.raises(UnknownSymbol):
+                d_iter(m, "nope", (a for a in "0110"))
+
+    def test_an_error_of_the_word_itself_is_not_a_bad_letter(self, par, cpar):
+        def word(error):
+            yield from "0110"
+            raise error
+
+        for m, _ in self._machines(par, cpar):
+            start = m.states[0]
+            for error in (KeyError("inner"), TypeError("inner")):
+                for walk in self._walks(m, start):
+                    with pytest.raises(type(error), match="inner"):
+                        walk(word(error))
 
 
 class TestBisimilar:
