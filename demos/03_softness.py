@@ -37,4 +37,4 @@ print("softness level of p2:", softness_level(p2, 3).level)
 
 # The carrier of the frozen register is cut out of the function space
 # by the head condition; only the value at the empty word is free.
-print("frozen-register carrier size over {0,1}:", pinfty_carrier_check(p2.input, 3))
+print("frozen-register carrier size over {0,1}:", pinfty_carrier_check(p2.input))

@@ -54,7 +54,6 @@ from .semantics import (
     check_extension_square,
     run,
     trace,
-    words_up_to,
 )
 from .universal import (
     SoftnessReport,

@@ -57,9 +57,15 @@ def all_moore(inp: Alphabet, outp: Alphabet, n_states: int) -> Iterator[MooreMac
 
 
 def _all_up_to(kind, inp, outp, max_states):
-    total = sum(_count(kind, inp, outp, k) for k in range(1, max_states + 1))
-    if total > ENUMERATION_GUARD:
-        raise EnumerationTooLarge("%d machines exceed the guard" % total)
+    # Stop at the first size past the guard: the counts grow like
+    # n^(n·|A|), so the total for a large max_states is slow to sum and
+    # has more digits than Python will format.
+    total = 0
+    for k in range(1, max_states + 1):
+        total += _count(kind, inp, outp, k)
+        if total > ENUMERATION_GUARD:
+            raise EnumerationTooLarge("more than %d machines of up to %d states"
+                                      % (ENUMERATION_GUARD, max_states))
     for k in range(1, max_states + 1):
         yield from _all(kind, inp, outp, k)
 

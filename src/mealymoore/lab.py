@@ -6,8 +6,8 @@ fixing the image of one state forces the images of all its successors,
 and a branch dies at the first clash of outputs or dynamics.  The
 adjunction / coreflection transposition formulas are verified as
 bijections between the resulting hom-sets in one pass over the left
-homs, and the identity search reads every pair of states from one
-partition refinement of a composite and its probe.  A hard guard on
+homs, and the identity search asks the union-find check of
+``bisimilar`` about each pair of states it needs.  A hard guard on
 the search nodes visited keeps enumerations honest: either the result
 is complete or the search raises, never silently truncated.
 """
@@ -32,7 +32,7 @@ from .core import (
     is_homomorphism,
 )
 from .generate import all_moore_up_to
-from .semantics import _blocks
+from .semantics import _related
 from .universal import apply_D1, decapitate, embed_j, is_soft, moorify
 
 
@@ -241,13 +241,14 @@ class IdentitySearchReport(_Value):
 
 def _pointwise_identity(composite, probe):
     """Is every probe state e bisimilar to the state (u, e) of
-    J(composite) = J(U⋄probe) for some candidate state u?  One refinement
-    of J(composite) ⊔ probe answers every pair; (u, e) has index
-    u·|probe| + e in the composite (see ``compose_cells``)."""
-    block, shift = _blocks(embed_j(composite), probe), composite._n
-    units = range(shift // probe._n)
-    return all(any(block[u * probe._n + e] == block[shift + e] for u in units)
-               for e in range(probe._n))
+    J(composite) = J(U⋄probe) for some candidate state u?  (u, e) has
+    index u·|probe| + e in the composite (see ``compose_cells``); each
+    pair is one run of the union-find check, O(N·|A|) for N states in
+    all, and the search stops at the first e with no such u."""
+    j, width = embed_j(composite), probe._n
+    units = range(composite._n // width)
+    return all(any(_related(j, u * width + e, probe, e) for u in units)
+               for e in range(width))
 
 
 def search_moore_identity(

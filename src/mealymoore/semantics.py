@@ -10,11 +10,11 @@ on nonempty words only; Moore machines also answer on the empty word.
 
 Behavioral equivalence of two given states is decided exactly by
 Hopcroft and Karp's union-find check, which relates only the pairs of
-states reachable from the two starts.  The identity search of ``lab``
-needs every pair of states at once, so it reads the whole partition from
-``_blocks``, the one partition refinement.  Word exhaustion and a search
-for a shortest distinguishing word are kept to the test suite as
-independent oracles.
+states reachable from the two starts.  It is the library's one
+equivalence kernel, ``_related``: ``bisimilar`` runs it on two pointed
+machines, and the identity search of ``lab`` runs it once per pair of
+states it asks about.  Word exhaustion and a search for a shortest
+distinguishing word are kept to the test suite as independent oracles.
 """
 
 from __future__ import annotations
@@ -76,37 +76,6 @@ def trace(p: PointedMachine, word: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(_walk(m, p._i, word, [names[b] for b in m._o]))
 
 
-def _renumber(signatures):
-    """Number the distinct signatures 0, 1, … in order of first appearance;
-    returns the numbers and how many there are."""
-    ids = {}
-    return [ids.setdefault(s, len(ids)) for s in signatures], len(ids)
-
-
-def _blocks(m: Machine, n: Machine) -> list[int]:
-    """Moore's partition refinement on the disjoint union of two machines
-    of one kind over common alphabets: the block, a small integer, of
-    every state index, n's states numbered after m's.  The first
-    partition groups states by observation (output, or output row for
-    Mealy machines); each round renumbers the signatures (block, block of
-    each successor) and stops when the block count stops growing.  With
-    N = |Q₁|+|Q₂| there are at most N rounds of O(N·|A|) work each.  Only
-    the identity search reads it, since it needs every pair of states;
-    ``bisimilar`` checks one pair without it."""
-    k, shift = len(m.input.symbols), m._n
-    succ = m._d + tuple(t + shift for t in n._d)  # the successor of node i at i*k + a
-    out = m._o + n._o
-    if isinstance(m, MealyMachine):
-        out = [out[x:x + k] for x in range(0, len(out), k)]
-    block, count = _renumber(out)
-    while True:
-        moved = list(map(block.__getitem__, succ))
-        refined, refined_count = _renumber(zip(block, *(moved[a::k] for a in range(k))))
-        if refined_count == count:
-            return block
-        block, count = refined, refined_count
-
-
 def bisimilar(p: PointedMachine, q: PointedMachine) -> bool:
     """Exact behavioral equivalence of two pointed machines of the same
     kind, by Hopcroft and Karp's union-find check.
@@ -126,11 +95,19 @@ def bisimilar(p: PointedMachine, q: PointedMachine) -> bool:
     bound them better but measured slower at every size tried."""
     m, n = p.machine, q.machine
     _require_parallel(m, n, "bisimilar")
+    return _related(m, p._i, n, q._i)
+
+
+def _related(m: Machine, i: int, n: Machine, j: int) -> bool:
+    """The union-find check of ``bisimilar`` on state indices: is state i
+    of m equivalent to state j of n?  The machines are of one kind over
+    common alphabets; the caller checks that.  Every call starts from a
+    fresh union-find, so no merge carries over from an earlier pair."""
     k, shift = len(m.input.symbols), m._n
     d1, d2, o1, o2 = m._d, n._d, m._o, n._o
     mealy = isinstance(m, MealyMachine)
     parent = list(range(shift + n._n))
-    todo = [(p._i, q._i)]
+    todo = [(i, j)]
     pop, extend = todo.pop, todo.extend
     while todo:
         x, y = pop()
@@ -141,11 +118,11 @@ def bisimilar(p: PointedMachine, q: PointedMachine) -> bool:
             parent[ry] = ry = parent[parent[ry]]
         if rx == ry:
             continue
-        i, j = x * k, y * k
-        if o1[i:i + k] != o2[j:j + k] if mealy else o1[x] != o2[y]:
+        xk, yk = x * k, y * k
+        if o1[xk:xk + k] != o2[yk:yk + k] if mealy else o1[x] != o2[y]:
             return False
         parent[rx] = ry
-        extend(zip(d1[i:i + k], d2[j:j + k]))
+        extend(zip(d1[xk:xk + k], d2[yk:yk + k]))
     return True
 
 
@@ -170,14 +147,3 @@ def check_extension_square(m: MooreMachine, maxlen: int) -> bool:
         raise MachineError("maxlen must be ≥ 1")
     o = m._o
     return all(o[t] == b for t, b in zip(m._d, apply_D1(m)._o))
-
-
-def words_up_to(alphabet, maxlen: int, include_empty: bool = True):
-    """All words over the alphabet of length ≤ maxlen, shortest first,
-    letters in declaration order (deterministic enumeration)."""
-    out = [()] if include_empty else []
-    layer = [()]
-    for _ in range(maxlen):
-        layer = [w + (a,) for w in layer for a in alphabet.symbols]
-        out.extend(layer)
-    return out

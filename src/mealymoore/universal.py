@@ -63,16 +63,14 @@ def _register(symbols: tuple, frozen: bool) -> MooreMachine:
     return MooreMachine(x, x, symbols, delta, {e: e for e in symbols})
 
 
-def pinfty_carrier_check(x: Alphabet, depth: int) -> int:
-    """Count the functions from words of length ≤ depth to x that agree
-    with ``head`` on every nonempty word.
+def pinfty_carrier_check(x: Alphabet) -> int:
+    """Count the functions from words over x, up to any depth, to x that
+    agree with ``head`` on every nonempty word.
 
     The count is |x| by definition, so no word is enumerated.  The
     constraints are one per word and independent: the empty word allows
     all of x and a nonempty word only its head, so the only freedom is
     the value on the empty word, whatever the depth."""
-    if depth < 1:
-        raise MachineError("depth must be ≥ 1")
     return len(x)
 
 

@@ -34,7 +34,17 @@ from mealymoore import (
     serialize_machine,
     trace,
 )
-from mealymoore.semantics import words_up_to
+
+
+def words_up_to(alphabet, maxlen, include_empty=True):
+    """All words over the alphabet of length ≤ maxlen, shortest first,
+    letters in declaration order."""
+    out = [()] if include_empty else []
+    layer = [()]
+    for _ in range(maxlen):
+        layer = [w + (a,) for w in layer for a in alphabet.symbols]
+        out.extend(layer)
+    return out
 
 
 def fold_state(m, e, word):

@@ -427,11 +427,13 @@ class TestCheck:
     ["check", "n-soft", "0", "p2"],
     ["check", "extension-square", "0", "cpar"],
     ["search-identity", "--alphabet", "0,1", "--max-states", "0"],
+    # Past the enumeration guard; the machines are never counted in full.
+    ["search-identity", "--alphabet", "0,1", "--max-states", "800"],
     # Not a bound: a Moore probe after a Mealy one, refused by the library.
     ["search-identity", "--alphabet", "0,1", "--max-states", "1", "--probe", "par",
      "--probe", "cpar"],
 ], ids=["n-soft-0", "extension-square-0", "search-identity-max-states-0",
-        "search-identity-moore-probe"])
+        "search-identity-max-states-800", "search-identity-moore-probe"])
 def test_bound_covering_nothing_is_bad_input(files, capsys, argv):
     argv = [files.get(arg, arg) for arg in argv]
     assert main(argv) == 2

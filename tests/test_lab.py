@@ -145,6 +145,14 @@ class TestEnumerationGuard:
         with pytest.raises(EnumerationTooLarge):
             enumerate_homs(self_loops(4), self_loops(4))
 
+    @pytest.mark.parametrize("up_to", [all_moore_up_to, all_mealy_up_to])
+    def test_machine_enumeration_refuses_a_huge_bound(self, bits, up_to):
+        # Counting every size up to 800 would give a number of thousands
+        # of digits; the count stops at the first size past the guard.
+        with pytest.raises(EnumerationTooLarge, match="more than %d machines"
+                           % lab.ENUMERATION_GUARD):
+            next(up_to(bits, bits, 800))
+
     def test_twelve_state_chain(self):
         # 12^12 candidate maps, far past the guard, but only 12 search
         # nodes: the image of s0 forces every other image.
@@ -326,6 +334,28 @@ class TestSearchMooreIdentity:
     def test_guard(self, bits, par):
         with pytest.raises(EnumerationTooLarge):
             search_moore_identity(bits, [par], 6)
+
+    def test_three_states_on_two_letters(self, bits):
+        # A probe that ignores its input: s0 → s1 → s2 → s1 → …, emitting
+        # 0 at s0 and s1 and 1 at s2.  No candidate of at most 2 states
+        # passes; 162 of the 3-state ones do, which the warning flags.
+        states = ("s0", "s1", "s2")
+        nxt = {"s0": "s1", "s1": "s2", "s2": "s1"}
+        probe = MealyMachine(bits, bits, states,
+                             {(e, a): nxt[e] for e in states for a in bits.symbols},
+                             {(e, a): "1" if e == "s2" else "0"
+                              for e in states for a in bits.symbols})
+        for k, checked in ((1, 2), (2, 66)):
+            report = search_moore_identity(bits, [probe], k)
+            assert (report.candidates_checked, report.survivors) == (checked, ())
+        report = search_moore_identity(bits, [probe], 3)
+        assert report.candidates_checked == 5898
+        assert len(report.survivors) == 162
+        assert report.probe_warning is not None
+        # The oracle takes about a second per candidate, so it confirms
+        # the first and the last survivor only.
+        for candidate in (report.survivors[0], report.survivors[-1]):
+            assert pointwise_identity(candidate, probe) is None
 
     def test_no_probe_raises(self, bits):
         # With no probe nothing is checked, so no candidate may survive.

@@ -36,8 +36,6 @@ from mealymoore import (
     serialize_machine,
     trace,
 )
-from mealymoore.semantics import words_up_to
-
 from oracles import (
     bisimilar_words,
     cascade,
@@ -50,6 +48,7 @@ from oracles import (
     n_soft,
     table_hom,
     tables,
+    words_up_to,
 )
 
 

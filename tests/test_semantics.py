@@ -26,7 +26,6 @@ from mealymoore import (
     trace,
     universal_p,
     universal_u,
-    words_up_to,
 )
 
 from conftest import BITS, make_cpar, make_par
@@ -40,6 +39,7 @@ from oracles import (
     fold_trace,
     random_named,
     words_agree,
+    words_up_to,
 )
 from test_properties import alphabets, mealys, moores
 

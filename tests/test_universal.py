@@ -5,7 +5,6 @@ import pytest
 from mealymoore import (
     Alphabet,
     LetterOutOfAlphabet,
-    MachineError,
     MooreMachine,
     PointedMachine,
     StateMap,
@@ -26,10 +25,9 @@ from mealymoore import (
     UnknownSymbol,
 )
 from mealymoore.generate import all_moore_up_to, random_mealy
-from mealymoore.semantics import words_up_to
 
 from conftest import BITS
-from oracles import fold_state, fold_trace, n_soft
+from oracles import fold_state, fold_trace, n_soft, words_up_to
 
 
 class TestUniversalU:
@@ -80,22 +78,16 @@ class TestUniversalP:
 
 
 class TestPinftyCarrier:
-    def test_binary_depth_two(self, bits):
-        assert pinfty_carrier_check(bits, 2) == 2
-
-    def test_binary_depth_one(self, bits):
-        assert pinfty_carrier_check(bits, 1) == 2
+    def test_binary(self, bits):
+        assert pinfty_carrier_check(bits) == 2
 
     def test_singleton(self):
-        assert pinfty_carrier_check(Alphabet("one", ("a",)), 5) == 1
+        assert pinfty_carrier_check(Alphabet("one", ("a",))) == 1
 
-    def test_three_letters_depth_four(self):
-        # 3^121 functions: out of reach of enumeration, one factor per word.
-        assert pinfty_carrier_check(Alphabet("three", ("a", "b", "c")), 4) == 3
-
-    def test_depth_zero_is_refused(self, bits):
-        with pytest.raises(MachineError):
-            pinfty_carrier_check(bits, 0)
+    def test_three_letters(self):
+        # At depth 4 the function space has 3^121 members, out of reach of
+        # enumeration; the count needs no depth.
+        assert pinfty_carrier_check(Alphabet("three", ("a", "b", "c"))) == 3
 
 
 class TestEmbedJ:
