@@ -27,7 +27,7 @@ from mealymoore import (
 from mealymoore.generate import all_moore_up_to, random_mealy
 
 from conftest import BITS
-from oracles import fold_state, fold_trace, n_soft, words_up_to
+from oracles import fold_state, fold_trace, n_soft, pinfty_carrier, words_up_to
 
 
 class TestUniversalU:
@@ -78,8 +78,12 @@ class TestUniversalP:
 
 
 class TestPinftyCarrier:
-    def test_binary(self, bits):
-        assert pinfty_carrier_check(bits) == 2
+    def test_binary_depth_one(self, bits):
+        # The count needs no depth; enumeration at depth 1 agrees with it.
+        assert pinfty_carrier_check(bits) == pinfty_carrier(bits, 1) == 2
+
+    def test_binary_depth_two(self, bits):
+        assert pinfty_carrier_check(bits) == pinfty_carrier(bits, 2) == 2
 
     def test_singleton(self):
         assert pinfty_carrier_check(Alphabet("one", ("a",))) == 1
