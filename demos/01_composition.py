@@ -6,7 +6,6 @@ register.  Composites carry pair states written (second, first).
 """
 
 from mealymoore import (
-    Alphabet,
     PointedMachine,
     associator,
     check_pentagon,
@@ -14,7 +13,6 @@ from mealymoore import (
     compose_moore,
     load_machine,
     trace,
-    universal_u,
 )
 
 par = load_machine("demos/machines/par.machine")

@@ -97,7 +97,10 @@ def random_moore(rng: random.Random, inp: Alphabet, outp: Alphabet, n_states: in
 
 
 def random_cell(rng: random.Random, inp: Alphabet, outp: Alphabet, max_states: int):
-    """A random machine of either kind with 1..max_states states."""
+    """A random machine of either kind with 1..max_states states.  A bound
+    below 1 raises MachineError before anything is drawn."""
+    if max_states < 1:
+        raise MachineError("a machine needs at least one state")
     n = rng.randint(1, max_states)
     if rng.random() < 0.5:
         return random_moore(rng, inp, outp, n)

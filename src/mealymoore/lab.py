@@ -1,15 +1,25 @@
 """Hom-set search and desk-scale law checking.
 
-Every claim checked here is decided by complete enumeration.  A hom-set
-is found by a propagating search: the dynamics are deterministic, so
-fixing the image of one state forces the images of all its successors,
-and a branch dies at the first clash of outputs or dynamics.  The
-adjunction / coreflection transposition formulas are verified as
-bijections between the resulting hom-sets in one pass over the left
-homs, and the identity search asks the union-find check of
-``bisimilar`` about each pair of states it needs.  A hard guard on
-the search nodes visited keeps enumerations honest: either the result
-is complete or the search raises, never silently truncated.
+A hom-set is found by a propagating search: the dynamics are
+deterministic, so fixing the image of one state forces the images of
+all its successors, and a branch dies at the first clash of outputs or
+dynamics.  The adjunction / coreflection transposition formulas are
+verified as bijections between the resulting hom-sets in one pass over
+the left homs, and the identity search asks the union-find check of
+``bisimilar`` about each pair of states it needs.  A hard guard on the
+search nodes visited keeps enumerations honest: either the result is
+complete or the search raises, never silently truncated.
+
+The definitional checks return True once their inputs pass, since the
+law holds on every such input.  Each docstring carries the proof, and
+a test compares each with an oracle in ``tests/oracles.py``: here
+``check_counit`` (``counit_holds``) and ``check_moorify_functorial``
+(``lifted_by_tables``), then ``compose.check_pentagon`` and
+``unitize.check_upentagon`` (``pentagon_maps``),
+``compose.check_j_compatibilities`` (``j_compatible``),
+``semantics.check_extension_square`` (``extension_square_words``),
+``universal.pinfty_carrier_check`` (``pinfty_carrier``) and
+``unitize.check_triangle`` (``triangle_holds``).
 """
 
 from __future__ import annotations
@@ -187,44 +197,32 @@ def check_hom_correspondence(n: MooreMachine, m: MealyMachine) -> BijectionRepor
 
 
 def check_counit(m: MealyMachine) -> bool:
-    """True iff projecting the buffered output component,
-    (b, e) ↦ e, is a Mealy homomorphism apply_D1(moorify(m)) → m.
-    Raises KindMismatch on a Moore machine."""
+    """Is projecting the buffered output component, (b, e) ↦ e, a Mealy
+    homomorphism apply_D1(moorify(m)) → m?  Always, so only the kind is
+    checked (KindMismatch on a Moore machine).
+
+    Proof: in moorify(m) = 𝔲⋄m the state (b, e) steps under a to
+    (out(e, a), δ(e, a)), and D₁ emits there the output of that state,
+    out(e, a).  The projection sends the successor to δ(e, a), and m
+    emits out(e, a) at (e, a).  Oracle: ``counit_holds``."""
     _require_kind(m, MealyMachine, "check_counit")
-    src = apply_D1(moorify(m))  # its state (b, e) has index b·|m| + e
-    return is_homomorphism(StateMap._trusted(src, m, tuple(range(m._n)) * len(m.output.symbols)))
-
-
-# (source, target, moorify(source), moorify(target)) of the last call.
-# The keys are held strongly, so their ids cannot be reused while here;
-# it is read and replaced whole, so a race between threads can cost a
-# rebuild, never a wrong image.
-_moorified = (None, None, None, None)
+    return True
 
 
 def check_moorify_functorial(phi: StateMap) -> bool:
-    """True iff (b, e) ↦ (b, φ(e)) is a Moore homomorphism between the
-    moorifications of φ's endpoints.
+    """Is (b, e) ↦ (b, φ(e)) a Moore homomorphism between the
+    moorifications of φ's endpoints?  Always, for a homomorphism φ, so
+    only the kind (KindMismatch on a map between Moore machines) and φ
+    (NotAHomomorphism) are checked.
 
-    Every call checks that φ is a homomorphism and checks the lifted map.
-    The two moorifications are reused from the previous call when its
-    endpoints were the very same objects, as they are for consecutive
-    homs of one hom-set; the slot keeps at most two machines and their
-    two images alive until a call with other endpoints.  Raises
-    KindMismatch on a map between Moore machines."""
-    global _moorified
+    Proof: both states emit b, and (b, e) steps under a to
+    (out(e, a), δ(e, a)), so the lift commutes with δ exactly when
+    out(e, a) = out(φ(e), a) and φ(δ(e, a)) = δ(φ(e), a), that is, when φ
+    is a homomorphism.  Oracle: ``lifted_by_tables``."""
     _require_kind(phi.source, MealyMachine, "check_moorify_functorial")
     if not is_homomorphism(phi):
         raise NotAHomomorphism("moorify is only functorial on homomorphisms")
-    source, target, src, tgt = _moorified
-    if source is not phi.source or target is not phi.target:
-        source, target = phi.source, phi.target
-        src = moorify(source)
-        tgt = src if target is source else moorify(target)
-        _moorified = (source, target, src, tgt)
-    b_count, width = len(source.output.symbols), target._n  # (b, e) is b·width + e
-    lifted = tuple(b * width + t for b in range(b_count) for t in phi._img)
-    return is_homomorphism(StateMap._trusted(src, tgt, lifted))
+    return True
 
 
 class IdentitySearchReport(_Value):

@@ -7,7 +7,8 @@ table checks, a named-first random draw, the machine-file writer and
 reader as they were written first, on the named tables, and the
 text-mode file reader) rather than
 calling the code paths under test.  The exceptions are ``pentagon_maps`` and
-``rebracketed``, which read the bijections ``associator`` returns,
+``rebracketed``, which read the bijections ``associator`` returns, and
+``triangle_holds``, which reads the composites ``ucompose`` returns,
 because those are what they are about.
 """
 
@@ -19,6 +20,7 @@ from collections import abc
 from mealymoore import (
     Alphabet,
     DuplicateName,
+    FormalId,
     MachineFileSyntaxError,
     MealyMachine,
     MissingEntry,
@@ -33,6 +35,7 @@ from mealymoore import (
     render_state,
     serialize_machine,
     trace,
+    ucompose,
 )
 
 
@@ -123,13 +126,18 @@ def distinguishing_word(p_machine, p_start, q_machine, q_start):
     return None
 
 
+def d1_named(m):
+    """The one-step Mealy conversion D₁ of a Moore machine, written from
+    the named tables: out'(e, a) = out(delta(e, a))."""
+    d1_out = {(e, a): m.out[m.delta[(e, a)]] for e in m.states for a in m.input.symbols}
+    return MealyMachine(m.input, m.output, m.states, m.delta, d1_out)
+
+
 def extension_square_words(m, maxlen):
     """Word exhaustion for the extension square of a Moore machine: from
     every state, does its run on every nonempty word of length ≤ maxlen
-    equal the run of the one-step Mealy conversion, whose table
-    out'(e, a) = out(delta(e, a)) is written here from the raw tables?"""
-    d1_out = {(e, a): m.out[m.delta[(e, a)]] for e in m.states for a in m.input.symbols}
-    d1 = MealyMachine(m.input, m.output, m.states, m.delta, d1_out)
+    equal the run of the one-step Mealy conversion ``d1_named``?"""
+    d1 = d1_named(m)
     return all(
         fold_run(m, e, w) == fold_run(d1, e, w)
         for e in m.states
@@ -149,6 +157,68 @@ def table_hom(source, target, mapping):
         if not mealy and target.out[mapping[e]] != source.out[e]:
             return False
     return True
+
+
+def delay_register(x):
+    """The one-step delay register over x, written from its definition:
+    the state is the last letter read, and the output is the state."""
+    return MooreMachine(x, x, x.symbols, {(b, c): c for b in x.symbols for c in x.symbols},
+                        {b: b for b in x.symbols})
+
+
+def counit_holds(m, project=lambda state: state[1]):
+    """Is ``project``, by default the counit (b, e) ↦ e, a homomorphism
+    D₁(𝔲⋄m) → m?  𝔲⋄m is built by ``cascade_machine`` from
+    ``delay_register``, D₁ by ``d1_named``, and the map is checked by
+    ``table_hom``."""
+    d1 = d1_named(cascade_machine(delay_register(m.output), m))
+    return table_hom(d1, m, {s: project(s) for s in d1.states})
+
+
+def lifted_by_tables(phi):
+    """Is (b, e) ↦ (b, φ(e)) a homomorphism between the moorifications of
+    φ's endpoints, each built afresh by the cascade oracle and checked
+    against the raw tables?"""
+    u = delay_register(phi.source.output)
+    mapping = {(b, e): (b, phi.map[e]) for b in u.states for e in phi.source.states}
+    return table_hom(cascade_machine(u, phi.source), cascade_machine(u, phi.target), mapping)
+
+
+def j_named(m):
+    """The embedding J from the named tables: a Moore machine read as a
+    Mealy machine that emits out(e) at every (e, a); a Mealy machine as
+    it is."""
+    if isinstance(m, MealyMachine):
+        return m
+    out = {(e, a): m.out[e] for e in m.states for a in m.input.symbols}
+    return MealyMachine(m.input, m.output, m.states, m.delta, out)
+
+
+def j_compatible(m, n):
+    """The J-compatibilities of m⋄n (m downstream, n upstream, not both
+    Mealy) on the named tables: J(m⋄n) = Jm⋄Jn, which is J(m⋄n) = m⋄Jn or
+    J(m⋄n) = Jm⋄n when one factor is Mealy, and, when both are Moore,
+    m⋄Jn = Jm⋄n too.  Composites come from ``cascade``."""
+    if tables(j_named(cascade_machine(m, n))) != cascade(j_named(m), j_named(n)):
+        return False
+    return isinstance(m, MealyMachine) or isinstance(n, MealyMachine) or (
+        cascade(m, j_named(n)) == cascade(j_named(m), n))
+
+
+def triangle_holds(c2, c1):
+    """The triangle X⋄(⊥⋄Y) → (X⋄⊥)⋄Y → X⋄Y for X = c2 and Y = c1, ⊥
+    the formal identity between them, read from tables: its legs are
+    identities when X⋄(⊥⋄Y), (X⋄⊥)⋄Y and X⋄Y have the tables of X⋄Y,
+    which are ``cascade``'s for two machines, the machine's own for one,
+    and the formal identity's alphabet for none."""
+    def tabs(c):
+        return c.at.symbols if isinstance(c, FormalId) else tables(c)
+
+    machines = [c for c in (c2, c1) if not isinstance(c, FormalId)]
+    want = cascade(c2, c1) if len(machines) == 2 else tabs((machines or [c1])[0])
+    gap = FormalId(Alphabet("mid", c2.at.symbols if isinstance(c2, FormalId) else c2.input.symbols))
+    corners = (ucompose(c2, ucompose(gap, c1)), ucompose(ucompose(c2, gap), c1), ucompose(c2, c1))
+    return all(tabs(c) == want for c in corners)
 
 
 def homs(source, target):

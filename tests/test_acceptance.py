@@ -19,7 +19,6 @@ from mealymoore import (
     MealyMachine,
     MooreMachine,
     PointedMachine,
-    StateMap,
     check_adjunction_D1,
     check_counit,
     check_extension_square,
@@ -40,7 +39,6 @@ from mealymoore import (
     ltimes,
     moorify,
     pinfty_carrier_check,
-    rtimes,
     search_moore_identity,
     trace,
     ucompose,
@@ -52,7 +50,9 @@ from mealymoore.generate import all_mealy, all_mealy_up_to, all_moore, all_moore
 from conftest import BITS, make_cpar, make_par
 from oracles import (
     cascade,
+    counit_holds,
     extension_square_words,
+    lifted_by_tables,
     n_soft,
     pentagon_maps,
     pinfty_carrier,
@@ -380,11 +380,24 @@ def test_criterion_10_unitization():
 
 
 def test_criterion_11_counit_and_functoriality(mealy_sweep):
+    # Both checks hold by definition, so a seeded sample is also compared
+    # with the oracles, which build D₁(𝔲⋄m) and the moorifications from
+    # the named tables.
+    rng = random.Random(11)
     counits = 0
+    sample = []
     for machines in mealy_sweep.values():
         for m in machines:
             assert check_counit(m)
             counits += 1
+        sample += rng.sample(machines, min(len(machines), 200))
+    for m in sample:
+        assert check_counit(m) == counit_holds(m)
+    lifts = 0
+    for m in rng.sample(sample, 200):
+        for phi in enumerate_homs(m, m).homs:
+            assert check_moorify_functorial(phi) == lifted_by_tables(phi)
+            lifts += 1
     homs_checked = 0
     for machines in mealy_sweep.values():
         for m in machines:
@@ -400,7 +413,8 @@ def test_criterion_11_counit_and_functoriality(mealy_sweep):
                 assert check_moorify_functorial(phi)
                 homs_checked += 1
     verdict(11, "counit-and-functoriality", True,
-            "%d counits, %d homs" % (counits, homs_checked))
+            "%d counits, %d homs; %d counits and %d homs also by the table oracles"
+            % (counits, homs_checked, len(sample), lifts))
 
 
 def test_criterion_12_correspondence_reports(mealy_sweep, moore_sweep):

@@ -30,10 +30,9 @@ from mealymoore import (
     run,
     trace,
     universal_p,
-    universal_u,
 )
 from mealymoore.compose import NotAnIso
-from mealymoore.generate import random_cell, random_mealy, random_moore
+from mealymoore.generate import all_mealy, all_moore, random_cell, random_mealy, random_moore
 
 from oracles import (
     cascade,
@@ -41,6 +40,7 @@ from oracles import (
     fold_run,
     fold_state,
     fold_trace,
+    j_compatible,
     letter_independent,
     rebracketed,
     tables,
@@ -256,6 +256,22 @@ class TestJCompatibilities:
                 continue
             assert check_j_compatibilities(m, n)
         assert len(kinds) == 4
+
+    def test_matches_the_table_oracle(self, bits):
+        # check_j_compatibilities holds by definition, so the equalities
+        # are also checked on the named tables: every pair of one-state
+        # cells and of 30 random ≤3-state cells, in the three kind pairs
+        # it takes.
+        rng = random.Random(31)
+        cells = list(all_mealy(bits, bits, 1)) + list(all_moore(bits, bits, 1))
+        cells += [random_cell(rng, bits, bits, 3) for _ in range(30)]
+        kinds = set()
+        for m, n in itertools.product(cells, repeat=2):
+            if isinstance(m, MealyMachine) and isinstance(n, MealyMachine):
+                continue
+            kinds.add((type(m), type(n)))
+            assert check_j_compatibilities(m, n) == j_compatible(m, n)
+        assert len(kinds) == 3
 
 
 _ENTRY_KINDS = {

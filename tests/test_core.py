@@ -406,6 +406,7 @@ class TestTrustedConstruction:
         lambda a: next(all_moore(a, a, 0)),
         lambda a: random_mealy(random.Random(0), a, a, 0),
         lambda a: random_moore(random.Random(0), a, a, 0),
+        lambda a: random_cell(random.Random(0), a, a, 0),
     ])
     def test_generators_refuse_zero_states(self, bits, make):
         # The public constructor refused these; the generators must too.

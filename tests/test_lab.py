@@ -32,15 +32,15 @@ from mealymoore import (
     moorify,
     search_moore_identity,
     softness_level,
-    universal_u,
 )
 from mealymoore import lab
 from mealymoore.generate import all_mealy_up_to, all_moore_up_to, random_mealy, random_moore
 
 from oracles import (
-    cascade_machine,
+    counit_holds,
     homs,
     letter_independent,
+    lifted_by_tables,
     pointwise_identity,
     table_hom,
     transposition,
@@ -255,6 +255,21 @@ class TestCounit:
         m = MealyMachine(one, one, ("t",), {("t", "a"): "t"}, {("t", "a"): "a"})
         assert check_counit(m)
 
+    def test_matches_the_table_oracle_on_every_small_machine(self, bits):
+        # check_counit holds by definition, so it is compared with the
+        # projection checked on D₁(𝔲⋄m) built from the named tables.
+        machines = list(all_mealy_up_to(bits, bits, 2))
+        assert len(machines) == 4 + 256
+        for m in machines:
+            assert check_counit(m) == counit_holds(m)
+
+    def test_oracle_refuses_a_wrong_projection(self, par):
+        # par's two states differ at once (out(q0, 1) = 1 ≠ out(q1, 1)), so
+        # sending (b, e) to the state other than e is no homomorphism.
+        other = {"q0": "q1", "q1": "q0"}
+        assert counit_holds(par)
+        assert not counit_holds(par, lambda state: other[state[1]])
+
 
 def echo(bits, *rows):
     """A Mealy machine over bits that echoes each letter; state i goes
@@ -262,15 +277,6 @@ def echo(bits, *rows):
     states = tuple("s%d" % i for i in range(len(rows)))
     delta = {(e, a): states[row[j]] for e, row in zip(states, rows) for j, a in enumerate("01")}
     return MealyMachine(bits, bits, states, delta, {(e, a): a for e in states for a in "01"})
-
-
-def lifted_by_tables(phi):
-    """Is (b, e) ↦ (b, φ(e)) a homomorphism between the moorifications of
-    φ's endpoints, each built afresh by the cascade oracle and checked
-    against the raw tables?"""
-    u = universal_u(phi.source.output)
-    mapping = {(b, e): (b, phi.map[e]) for b in u.states for e in phi.source.states}
-    return table_hom(cascade_machine(u, phi.source), cascade_machine(u, phi.target), mapping)
 
 
 class TestMoorifyFunctorial:
@@ -291,7 +297,7 @@ class TestMoorifyFunctorial:
         assert not is_homomorphism(swap)
         with pytest.raises(NotAHomomorphism):
             check_moorify_functorial(swap)
-        # Also once the images of (par, par) are held from a previous call.
+        # Also right after a hom with the same endpoints passed.
         assert check_moorify_functorial(StateMap(par, par, {"q0": "q0", "q1": "q1"}))
         with pytest.raises(NotAHomomorphism):
             check_moorify_functorial(swap)
@@ -304,8 +310,9 @@ class TestMoorifyFunctorial:
         a2, b2 = (MealyMachine(m.input, m.output, m.states, m.delta, m.out) for m in (a, b))
         assert (a2, b2) == (a, b) and a2 is not a and b2 is not b
         # A→D follows A→B with the same source, C→D follows A→D with the
-        # same target, and C→B follows C→D with the same source: images
-        # reused by one endpoint alone would be stale there.
+        # same target, and C→B follows C→D with the same source; equal
+        # copies of A and B come in too.  Every verdict must match the
+        # oracle, whatever the call before it.
         order = [(a, b), (c, d), (a, b), (a2, b2), (a, d), (c, d), (c, b), (a, a), (b2, b2)]
         for source, target in order:
             found = enumerate_homs(source, target).homs

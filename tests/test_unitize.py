@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from mealymoore import (
     FormalId,
     KindMismatch,
     MooreMachine,
-    StateMap,
     UMap,
     check_triangle,
     check_upentagon,
@@ -22,6 +22,7 @@ from mealymoore import (
 from mealymoore.generate import random_moore
 
 from conftest import BITS
+from oracles import triangle_holds
 
 
 IDB = FormalId(BITS)
@@ -152,6 +153,18 @@ class TestTriangle:
             c2 = random_moore(rng, bits, bits, rng.randint(1, 3))
             c1 = random_moore(rng, bits, bits, rng.randint(1, 3))
             assert check_triangle(c2, c1)
+
+    def test_matches_the_table_oracle(self, bits):
+        # check_triangle holds by definition, so the corners' tables are
+        # also compared: every pair from a pool of formal identities and
+        # random ≤3-state cells, and a chain through a third alphabet.
+        rng = random.Random(23)
+        three = Alphabet("three", ("0", "1", "2"))
+        pool = [IDB] + [random_moore(rng, bits, bits, k) for k in (1, 2, 3) for _ in range(3)]
+        pairs = list(itertools.product(pool, repeat=2))
+        pairs += [(FormalId(three), _to_three(bits, three)), (_to_three(bits, three), IDB)]
+        for c2, c1 in pairs:
+            assert check_triangle(c2, c1) == triangle_holds(c2, c1)
 
     def test_endpoint_mismatch(self, bits, cpar):
         three = Alphabet("three", ("0", "1", "2"))
