@@ -7,9 +7,12 @@ pentagon coherence, word semantics with exact bisimulation, the
 universal one-step and frozen registers with moorification and
 decapitation, the softness hierarchy, an exhaustive law-checking lab,
 and the free unitization of the Moore structure.  The lab checks
-D₁ ⊣ moorify as a bijection of hom-sets (acceptance criterion 02); the
-analogous correspondence for decapitation is only measured, and often
-fails (criterion 12).
+D₁ ⊣ moorify as a bijection of hom-sets (acceptance criterion 02).  The
+analogous correspondence for decapitation, Hom(Jn, m) against
+Hom(n, decapitate(m)) for soft n, never misses a transpose; it is a
+bijection exactly when every δ-map φ : n → m (one with
+φ(δ(e, a)) = δ(φ(e), a)) also has out_m(φ(e), a) = out_n(e)
+(criterion 12).
 """
 
 __version__ = "0.1.0"

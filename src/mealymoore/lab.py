@@ -3,12 +3,15 @@
 A hom-set is found by a propagating search: the dynamics are
 deterministic, so fixing the image of one state forces the images of
 all its successors, and a branch dies at the first clash of outputs or
-dynamics.  The adjunction / coreflection transposition formulas are
-verified as bijections between the resulting hom-sets in one pass over
-the left homs, and the identity search asks the union-find check of
-``bisimilar`` about each pair of states it needs.  A hard guard on the
-search nodes visited keeps enumerations honest: either the result is
-complete or the search raises, never silently truncated.
+dynamics.  The transposition of D₁ ⊣ moorify, and the same formula for
+the decapitation correspondence, are checked as bijections between the
+resulting hom-sets: each check proves that every transpose is a right
+hom, and transposition keeps hom order, so the two hom lists are paired
+by position when their sizes agree.  The identity search asks the
+union-find check of ``bisimilar`` about each pair of states it needs.
+A hard guard on the search nodes visited keeps enumerations honest:
+either the result is complete or the search raises, never silently
+truncated.
 
 The definitional checks return True once their inputs pass, since the
 law holds on every such input.  Each docstring carries the proof, and
@@ -146,54 +149,66 @@ class BijectionReport(_Value):
         object.__setattr__(self, "counterexample", counterexample)
 
 
-def _transpose_report(n, left, right):
-    """Attempt φ ↦ (e ↦ (out_n(e), φ(e))) as a bijection left → right,
-    with the inverse projecting the second component.  The right-hand
-    target is a register after left's target m, whose state (b, e) has
-    index b·|m| + e and outputs b, so the transposition works on index
-    images.  One pass pairs each left hom with its transpose, popped from
-    the right homs.  No round trip can fail: output preservation makes
-    every right hom send e to (out_n(e), ·), so it is the transpose of its
-    projection.  Transposition is injective, so it is a bijection
-    (and the sizes agree) exactly when no transpose is missing and no
-    right hom is left over; the first left over is the first whose
-    projection is not a left hom."""
-    width = left.target._n
-    unpaired = {psi._img: psi for psi in right.homs}  # in right-hom order
-    pairs = []
-    for phi in left.homs:
-        psi = unpaired.pop(tuple(b * width + t for b, t in zip(n._o, phi._img)), None)
-        if psi is None:
-            missing = "transpose of %r is not in the right hom-set" % (dict(phi.map),)
-            return BijectionReport(left, right, (), False, missing)
-        pairs.append((phi, psi))
-    if unpaired:
-        psi = next(iter(unpaired.values()))  # the first right hom no transpose reached
-        return BijectionReport(left, right, (), False,
-                               "projection of %r is not in the left hom-set" % (dict(psi.map),))
-    return BijectionReport(left, right, tuple(pairs), True, None)
+def _transpose_report(left, right):
+    """Pair the left homs, into some m, with the right homs, from some n,
+    by position, as the transposition φ ↦ (e ↦ (out_n(e), φ(e))).
+
+    The right-hand target is a register after m, whose state (b, t) has
+    index b·|m| + t and outputs b.  Output preservation makes every right
+    hom send e to (out_n(e), t) for some t, so it is the transpose of its
+    projection, the index image mod |m|.  Hence the transposition is
+    injective, and it keeps the lexicographic hom order: where φ and φ′
+    first differ, at e, their transposes first differ too, at
+    out_n(e)·|m| + φ(e) and out_n(e)·|m| + φ′(e).  Each caller proves
+    that every transpose is a right hom, so the transposition is a
+    bijection exactly when the sizes agree, and then it sends the i-th
+    left hom to the i-th right hom.  Otherwise the first right hom that
+    is no transpose, the first whose projection is not a left hom, is
+    the counterexample."""
+    if len(left.homs) == len(right.homs):
+        return BijectionReport(left, right, tuple(zip(left.homs, right.homs)), True, None)
+    width, images = left.target._n, {phi._img for phi in left.homs}
+    psi = next(psi for psi in right.homs if tuple(t % width for t in psi._img) not in images)
+    return BijectionReport(left, right, (), False,
+                           "projection of %r is not in the left hom-set" % (dict(psi.map),))
 
 
 def check_adjunction_D1(n: MooreMachine, m: MealyMachine) -> BijectionReport:
     """Verify, by complete enumeration, the natural bijection between
-    Mealy homs apply_D1(n) → m and Moore homs n → moorify(m)."""
+    Mealy homs apply_D1(n) → m and Moore homs n → moorify(m).
+
+    Every transpose is a right hom: in moorify(m) = 𝔲⋄m the state (b, t)
+    emits b and steps under a to (out(t, a), δ(t, a)).  For a hom
+    φ : D₁n → m, (out_n(e), φ(e)) emits out_n(e) and steps to
+    (out(φ(e), a), δ(φ(e), a)) = (out_n(δ(e, a)), φ(δ(e, a))), the
+    transpose at δ(e, a).  Read backwards, the same equation makes the
+    projection φ of every right hom a left hom, so the sizes always
+    agree."""
     left = enumerate_homs(apply_D1(n), m)
     right = enumerate_homs(n, moorify(m))
-    return _transpose_report(n, left, right)
+    return _transpose_report(left, right)
 
 
 def check_hom_correspondence(n: MooreMachine, m: MealyMachine) -> BijectionReport:
     """Measure the analogous correspondence between Mealy homs
     embed_j(n) → m and Moore homs n → decapitate(m), for soft n.
 
-    This is a measurement, not an assumed law: the report records
-    whether the same transposition formula works here.
+    The outcome is decided: in decapitate(m) = 𝔭⋄m the state (b, t)
+    emits b and steps under a to (b, δ(t, a)), and m's outputs are never
+    read.  For a hom φ : Jn → m, (out_n(e), φ(e)) steps to
+    (out_n(e), δ(φ(e), a)) = (out_n(δ(e, a)), φ(δ(e, a))) by softness, so
+    every transpose is a right hom.  The right homs are the lifts of the
+    δ-maps φ : n → m, those with φ(δ(e, a)) = δ(φ(e), a); the left homs
+    are the δ-maps that also have out(φ(e), a) = out_n(e).  So the
+    transposition is their inclusion, never missing a transpose, and it
+    is a bijection exactly when every δ-map n → m also preserves the
+    outputs that way.
     """
     if not is_soft(n):
         raise NotSoft("the correspondence is only measured for soft machines")
     left = enumerate_homs(embed_j(n), m)
     right = enumerate_homs(n, decapitate(m))
-    return _transpose_report(n, left, right)
+    return _transpose_report(left, right)
 
 
 def check_counit(m: MealyMachine) -> bool:

@@ -2,7 +2,7 @@
 
 Everything here recomputes results from first principles (folds over
 the named tables, bounded word exhaustion, a breadth-first search for a
-shortest distinguishing word, brute-force counts, pairwise
+shortest distinguishing word, brute-force counts and δ-maps, pairwise
 table checks, a named-first random draw, the machine-file writer and
 reader as they were written first, on the named tables, and the
 text-mode file reader) rather than
@@ -230,6 +230,19 @@ def homs(source, target):
         mapping = dict(zip(source.states, images))
         if table_hom(source, target, mapping):
             found.append(mapping)
+    return found
+
+
+def delta_maps(n, m):
+    """Every state map φ : n → m with φ(δ_n(e, a)) = δ_m(φ(e), a), by
+    brute force over the named tables: all |m|^|n| maps in lexicographic
+    order of the target indices, outputs ignored."""
+    found = []
+    for images in itertools.product(m.states, repeat=len(n.states)):
+        phi = dict(zip(n.states, images))
+        if all(phi[n.delta[(e, a)]] == m.delta[(phi[e], a)]
+               for e in n.states for a in n.input.symbols):
+            found.append(phi)
     return found
 
 

@@ -19,6 +19,7 @@ from mealymoore import (
     MealyMachine,
     MooreMachine,
     PointedMachine,
+    associator,
     check_adjunction_D1,
     check_counit,
     check_extension_square,
@@ -45,13 +46,21 @@ from mealymoore import (
     universal_p,
     universal_u,
 )
-from mealymoore.generate import all_mealy, all_mealy_up_to, all_moore, all_moore_up_to
+from mealymoore.generate import (
+    all_mealy,
+    all_mealy_up_to,
+    all_moore,
+    all_moore_up_to,
+    random_cell,
+)
 
 from conftest import BITS, make_cpar, make_par
 from oracles import (
     cascade,
     counit_holds,
+    delta_maps,
     extension_square_words,
+    letter_independent,
     lifted_by_tables,
     n_soft,
     pentagon_maps,
@@ -235,17 +244,7 @@ def _machines_with_exactly(a, b, n_states):
     yield from all_moore(a, b, n_states)
 
 
-def _random_machine(rng, a, b, max_states):
-    from mealymoore.generate import random_mealy, random_moore
-
-    n = rng.randint(1, max_states)
-    maker = random_moore if rng.random() < 0.5 else random_mealy
-    return maker(rng, a, b, n)
-
-
 def test_criterion_05_coherence():
-    from mealymoore import associator
-
     checked = 0
     # Exhaustive one-state quadruples over every chain of alphabets ≤ 2.
     for sizes in itertools.product((1, 2), repeat=5):
@@ -266,10 +265,10 @@ def test_criterion_05_coherence():
     rng = random.Random(5)
     for _ in range(1000):
         chain = [_alphabet(rng.randint(1, 2)) for _ in range(5)]
-        f = _random_machine(rng, chain[0], chain[1], 3)
-        g = _random_machine(rng, chain[1], chain[2], 3)
-        h = _random_machine(rng, chain[2], chain[3], 3)
-        k = _random_machine(rng, chain[3], chain[4], 3)
+        f = random_cell(rng, chain[0], chain[1], 3)
+        g = random_cell(rng, chain[1], chain[2], 3)
+        h = random_cell(rng, chain[2], chain[3], 3)
+        k = random_cell(rng, chain[3], chain[4], 3)
         bij = associator(h, g, f)
         assert is_homomorphism(bij.forward) and is_homomorphism(bij.backward)
         assert rebracketed(bij, h, g, f)
@@ -279,12 +278,6 @@ def test_criterion_05_coherence():
     verdict(5, "coherence", True,
             "%d quadruples, each also by the associator maps; 1000 associators "
             "against cascade" % checked)
-
-
-def _letter_independent(m):
-    return all(
-        len({m.out[(e, x)] for x in m.input.symbols}) == 1 for e in m.states
-    )
 
 
 def test_criterion_06_overrides_and_j(mealy_sweep, moore_sweep):
@@ -311,7 +304,7 @@ def test_criterion_06_overrides_and_j(mealy_sweep, moore_sweep):
                 if isinstance(second, MealyMachine) and isinstance(first, MealyMachine):
                     continue
                 assert isinstance(composite, MooreMachine)
-                assert _letter_independent(embed_j(composite))
+                assert letter_independent(embed_j(composite))
                 assert check_j_compatibilities(second, first)
                 mixed += 1
     verdict(6, "overrides-and-j", True,
@@ -418,7 +411,11 @@ def test_criterion_11_counit_and_functoriality(mealy_sweep):
 
 
 def test_criterion_12_correspondence_reports(mealy_sweep, moore_sweep):
-    reports = 0
+    # The right homs are the lifts of the δ-maps n → m, and the left homs
+    # the δ-maps that also preserve outputs (see check_hom_correspondence),
+    # so both counts come from the brute-force δ-map oracle.
+    reports = bijective = 0
+    first_failure = None
     for cfg in CONFIGS:
         soft_small = [n for n in moore_sweep[cfg] if len(n.states) <= 2 and is_soft(n)]
         mealys_small = [m for m in mealy_sweep[cfg] if len(m.states) <= 2]
@@ -442,5 +439,28 @@ def test_criterion_12_correspondence_reports(mealy_sweep, moore_sweep):
             assert [(p.map, q.map) for p, q in first.pairs] == [
                 (p.map, q.map) for p, q in second.pairs
             ]
+            # The outcome, decided: no transpose is ever missing, and the
+            # transposition is a bijection exactly when every δ-map
+            # preserves outputs.
+            deltas = delta_maps(n, m)
+            unpreserving = [phi for phi in deltas if any(
+                m.out[(phi[e], a)] != n.out[e] for e in n.states for a in n.input.symbols)]
+            assert len(first.right.homs) == len(deltas)
+            assert len(first.left.homs) == len(deltas) - len(unpreserving)
+            assert first.success == (not unpreserving)
+            right_maps = first.right.maps()
+            for phi in first.left.maps():
+                assert {e: (n.out[e], phi[e]) for e in n.states} in right_maps
+            if unpreserving:
+                lifted = {e: (n.out[e], unpreserving[0][e]) for e in n.states}
+                assert first.counterexample == (
+                    "projection of %r is not in the left hom-set" % (lifted,))
+                first_failure = first_failure or (n, m, unpreserving[0])
+            bijective += first.success
             reports += 1
-    verdict(12, "correspondence-reports", True, "%d reports" % reports)
+    detail = "%d reports, %d bijective, %d not" % (reports, bijective, reports - bijective)
+    if first_failure:
+        n, m, phi = first_failure
+        detail += "; first counterexample: the δ-map %r from out=%r into out=%r" % (
+            phi, dict(n.out), dict(m.out))
+    verdict(12, "correspondence-reports", bijective > 0 and first_failure is not None, detail)

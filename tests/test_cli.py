@@ -16,6 +16,8 @@ from mealymoore import (
     cli,
     compose_cells,
     load_machine,
+    machine_from_raw,
+    machine_to_raw,
     moorify,
     save_machine,
     serialize_machine,
@@ -59,8 +61,6 @@ class TestParseWord:
         assert _parse_word("", BITS) == ()
 
     def test_single_multichar_symbol(self):
-        from mealymoore import Alphabet
-
         assert _parse_word("go", Alphabet("w", ("go", "stop"))) == ("go",)
 
 
@@ -351,8 +351,6 @@ class TestTransform:
     def test_moorify(self, files, capsys):
         # Serialization renders pair states as "⟨b,e⟩" strings, so
         # compare the reloaded machine to the reserialized original.
-        from mealymoore import machine_from_raw, machine_to_raw
-
         out = str(files["dir"] / "moorified.machine")
         assert main(["transform", "moorify", files["par"], "-o", out]) == 0
         expected = machine_from_raw(machine_to_raw(moorify(make_par())))

@@ -20,6 +20,7 @@ from mealymoore import (
     compose_mealy,
     compose_moore,
     d_iter,
+    decapitate,
     embed_j,
     identity_cell,
     identity_map,
@@ -95,8 +96,6 @@ class TestMixedComposition:
         assert ltimes(u2, par) == moorify(par)
 
     def test_ltimes_p_is_decapitate(self, par, bits):
-        from mealymoore import decapitate
-
         assert ltimes(universal_p(bits), par) == decapitate(par)
 
     def test_ltimes_returns_moore(self, par, u2):

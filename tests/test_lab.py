@@ -187,8 +187,6 @@ class TestAdjunction:
         assert len(report.left.homs) == 1
 
     def test_sweep_two_states(self, bits):
-        from mealymoore.generate import all_moore_up_to
-
         for n in all_moore_up_to(bits, bits, 2):
             for m in all_mealy_up_to(bits, bits, 1):
                 assert check_adjunction_D1(n, m).success
@@ -218,9 +216,10 @@ class TestCorrespondence:
 class TestTransposition:
     def test_matches_literal_checks_on_named_maps(self):
         # The adjunction, and the correspondence wherever it applies, on
-        # seeded pairs of at most three states: the verdict, the first
-        # counterexample and the pairing equal those of the literal
-        # three checks on brute-force hom-sets.
+        # seeded pairs of at most three states: both hom lists equal the
+        # brute-force ones, as the pairing by position needs, and the
+        # verdict, the first counterexample and the pairing equal those
+        # of the literal three checks.
         rng = random.Random(17)
         checked = failed = failed_correspondences = 0
         for trial in range(2000):
@@ -233,8 +232,9 @@ class TestTransposition:
                 cases.append((check_hom_correspondence, embed_j(n), decapitate(m)))
             for check, source, register in cases:
                 report = check(n, m)
-                success, counterexample, pairs = transposition(
-                    n, homs(source, m), homs(n, register))
+                left_maps, right_maps = homs(source, m), homs(n, register)
+                assert report.left.maps() == left_maps and report.right.maps() == right_maps
+                success, counterexample, pairs = transposition(n, left_maps, right_maps)
                 assert (report.success, report.counterexample) == (success, counterexample)
                 assert [(dict(phi.map), dict(psi.map)) for phi, psi in report.pairs] == pairs
                 checked += 1

@@ -34,7 +34,7 @@ from mealymoore import (
 )
 from mealymoore.generate import random_mealy, random_moore
 
-from conftest import BITS
+from conftest import BITS, make_par
 from oracles import load_text_mode, machine_text, validate_flat
 
 
@@ -480,8 +480,6 @@ class TestReaderEquivalence:
 
 
 def _par_bytes():
-    from conftest import make_par
-
     return serialize_machine(make_par()).encode("utf-8")
 
 

@@ -179,8 +179,6 @@ def test_soft_iff_one_soft(m):
 
 @given(st.data())
 def test_hom_composition_closure(data):
-    from mealymoore import enumerate_homs
-
     a = data.draw(alphabets(2))
     b = data.draw(alphabets(2))
     m1 = data.draw(mealys(inp=a, outp=b, max_states=2))

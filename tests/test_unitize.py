@@ -13,13 +13,14 @@ from mealymoore import (
     check_triangle,
     check_upentagon,
     compose_moore,
+    enumerate_homs,
     formal_identity_map,
     identity_map,
     is_homomorphism,
     ucompose,
     ucompose2,
 )
-from mealymoore.generate import random_moore
+from mealymoore.generate import all_moore_up_to, random_moore
 
 from conftest import BITS
 from oracles import triangle_holds
@@ -120,9 +121,6 @@ class TestUcompose2:
 
     def test_product_of_homs_is_hom(self, bits):
         rng = random.Random(13)
-        from mealymoore import enumerate_homs
-        from mealymoore.generate import all_moore_up_to
-
         machines = list(all_moore_up_to(bits, bits, 2))
         for _ in range(60):
             n1, n2 = rng.choice(machines), rng.choice(machines)

@@ -12,6 +12,7 @@ from mealymoore import (
     d_iter,
     decapitate,
     embed_j,
+    enumerate_homs,
     is_homomorphism,
     is_n_soft,
     is_soft,
@@ -103,8 +104,6 @@ class TestEmbedJ:
         assert embed_j(u2).states == u2.states
 
     def test_preserves_homomorphisms(self, bits):
-        from mealymoore import enumerate_homs
-
         machines = list(all_moore_up_to(bits, bits, 2))
         rng = random.Random(5)
         found = 0
@@ -122,8 +121,6 @@ class TestApplyD1:
         assert apply_D1(cpar) == par
 
     def test_constant_output_collapses_to_embed(self, bits):
-        from mealymoore import MooreMachine
-
         const = MooreMachine(
             bits, bits, ("s", "t"),
             {("s", "0"): "t", ("s", "1"): "s", ("t", "0"): "s", ("t", "1"): "t"},
@@ -204,8 +201,6 @@ class TestSoftness:
         assert not is_soft(u2)
 
     def test_constant_output_is_soft(self, bits):
-        from mealymoore import MooreMachine
-
         m = MooreMachine(
             bits, bits, ("s", "t"),
             {("s", "0"): "t", ("s", "1"): "s", ("t", "0"): "s", ("t", "1"): "t"},
