@@ -6,17 +6,17 @@ FAILURE report, 2 for usage and validation errors.
 ``build_parser`` is the one declaration of the grammar.  While it
 declares the parser it records, for each command's words, the actions
 ``add_argument`` returns and the handler.  A request in plain form, the
-command words, its positionals, then exact flags each followed by one
-value, is read straight from that record into the Namespace argparse
-would build.  Every other argv goes to argparse, which alone writes
-help, usage and error text.
+command words, a token for every positional, then exact flags each
+followed by one value, is read straight from that record into the
+Namespace argparse would build.  Every other argv, one that leaves a
+positional out or gives a variadic one included, goes to argparse,
+which alone fills in defaults and writes help, usage and error text.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 from . import __version__
@@ -213,27 +213,27 @@ def _cmd_unitize_demo(args):
     return 0 if ok else 1
 
 
-# The fewest and most tokens a positional takes, by nargs; an int n is (n, n).
-_ARITY = {None: (1, 1), "?": (0, 1), "*": (0, math.inf)}
-
-
 class _Command:
     """A leaf command's subparser, and what its plain requests need: the
-    positionals in order with their token counts, the flags that take
-    one value, the required flags and the Namespace defaults."""
+    positionals in order with the tokens each takes, their sum (the
+    arity), the flags that take one value, the required flags and the
+    Namespace defaults.  A positional takes one token, or n for an
+    integer nargs n; a "*" positional gives the command no arity, so
+    its requests always go to argparse."""
 
     def __init__(self, parser, depth, defaults):
         self.parser, self.depth, self.defaults = parser, depth, defaults
         self.positionals, self.flags, self.required = [], {}, []
-        self.least = 0  # the fewest positional tokens
+        self.arity = 0
 
     def add_argument(self, *args, **kwargs):
         action = self.parser.add_argument(*args, **kwargs)
         self.defaults[action.dest] = action.default
         if not action.option_strings:
-            least, most = _ARITY.get(action.nargs) or (action.nargs, action.nargs)
-            self.positionals.append((action, least, most))
-            self.least += least
+            take = 1 if action.nargs in (None, "?") else action.nargs
+            self.positionals.append((action, take))
+            fixed = isinstance(take, int) and self.arity is not None
+            self.arity = self.arity + take if fixed else None
         elif action.nargs is None:
             self.flags.update(dict.fromkeys(action.option_strings, action))
         if action.required and action.option_strings:
@@ -287,7 +287,8 @@ def build_parser():
     c.add_argument("n", type=int)
     c.add_argument("files", nargs=1)
     c = command(("check", "extension-square"), _cmd_check)
-    c.add_argument("maxlen", type=int)
+    c.add_argument("maxlen", type=int,
+                   help="a word-length bound, 1 or more; the verdict does not depend on it")
     c.add_argument("files", nargs=1)
     c = command(("check", "counit"), _cmd_check)
     c.add_argument("files", nargs=1)
@@ -336,19 +337,19 @@ def _value(action, token):
 
 def _values(action, tokens):
     """What argparse passes to a positional ``action`` for ``tokens``."""
-    if action.nargs is None or action.nargs == "?" and tokens:
-        return _value(action, tokens[0])
-    if tokens or action.nargs == "*" and action.default is None:
+    if isinstance(action.nargs, int):
         return [_value(action, token) for token in tokens]
-    return action.default  # "?" or "*" given no token
+    return _value(action, tokens[0])
 
 
 def _plain_args(commands, argv):
     """The Namespace parse_args(argv) returns, read straight from the
-    recorded grammar, when argv is in plain form: the command words, its
-    positionals, then exact flags, each followed by one value that does
-    not start with "-".  None for any other argv, and for every argv that
-    argparse refuses, so that argparse alone writes help and error text."""
+    recorded grammar, when argv is in plain form: the command words,
+    exactly as many positional tokens as the command's arity, then exact
+    flags, each followed by one value that does not start with "-".
+    None for any other argv, omitted or variadic positionals included,
+    and for every argv that argparse refuses, so that argparse alone
+    fills those in and writes help and error text."""
     command = commands.get(tuple(argv[:1])) or commands.get(tuple(argv[:2]))
     if command is None:
         return None
@@ -356,23 +357,16 @@ def _plain_args(commands, argv):
     split = 0
     while split < len(rest) and not rest[split].startswith("-"):
         split += 1
+    if split != command.arity or (len(rest) - split) % 2:
+        return None
     tokens, options = rest[:split], rest[split:]
-    if len(options) % 2:
-        return None
-    free = len(tokens) - command.least
-    if free < 0:
-        return None
     args = argparse.Namespace()
     vars(args).update(command.defaults)
     try:
         at = 0
-        for action, least, most in command.positionals:
-            take = min(most, least + free)
-            free -= take - least
+        for action, take in command.positionals:
             action(command.parser, args, _values(action, tokens[at:at + take]))
             at += take
-        if free:
-            return None
         seen = set()
         for flag, token in zip(options[::2], options[1::2]):
             action = command.flags.get(flag)

@@ -27,7 +27,7 @@ a test compares each with an oracle in ``tests/oracles.py``: here
 
 from __future__ import annotations
 
-from .compose import ltimes
+from .compose import compose_cells
 from .core import (
     ENUMERATION_GUARD,
     Alphabet,
@@ -252,15 +252,18 @@ class IdentitySearchReport(_Value):
         self._set(alphabet, max_states, candidates_checked, survivors, failures, probe_warning)
 
 
-def _pointwise_identity(composite, probe):
+def _pointwise_identity(candidate, probe):
     """Is every probe state e bisimilar to the state (u, e) of
-    J(composite) = J(U⋄probe) for some candidate state u?  (u, e) has
-    index u·|probe| + e in the composite (see ``compose_cells``); each
-    pair is one run of the union-find check, O(N·|A|) for N states in
-    all, and the search stops at the first e with no such u."""
-    j, width = embed_j(composite), probe._n
-    units = range(composite._n // width)
-    return all(any(_related(j, u * width + e, probe, e) for u in units)
+    J(candidate)⋄probe for some candidate state u?  That composite is
+    J(candidate⋄probe) on the index form, by J(m⋄n) = Jm⋄n for Moore m
+    and Mealy n (``compose.check_j_compatibilities``), so it is built as
+    a Mealy machine at once.  (u, e) has index u·|probe| + e in it (see
+    ``compose_cells``); each pair is one run of the union-find check,
+    O(N·|A|) for N states in all, and the search stops at the first e
+    with no such u."""
+    composite, width = compose_cells(embed_j(candidate), probe), probe._n
+    units = range(candidate._n)
+    return all(any(_related(composite, u * width + e, probe, e) for u in units)
                for e in range(width))
 
 
@@ -272,16 +275,17 @@ def search_moore_identity(
     probe m.  The survivor list is expected to be empty whenever some
     probe has a letter-dependent output table.  With no probe nothing
     would be checked, so an empty probe list raises; a Moore probe raises
-    KindMismatch before the first candidate is built.
+    KindMismatch before the first candidate is built.  The probes are
+    kind-checked once, and every candidate is Moore by construction.
 
-    Only U⋄m is built: once it passes, m⋄U passes too.  At each step
-    U⋄m from (u, e) emits U's current output, and U's state is fixed by
-    u and m's earlier outputs.  Where (u, e) is bisimilar to e those
-    outputs are m's own, so each output of m from e is fixed by m's
-    earlier outputs: m emits one stream from e, whatever the input word.
-    m⋄U from (e, u) feeds m some word, so it emits that same stream for
-    every u.  A candidate thus fails only in the "post-composition"
-    direction."""
+    Only J(U⋄m), built as J(U)⋄m, is checked: once it passes, m⋄U
+    passes too.  At each step U⋄m from (u, e) emits U's current output,
+    and U's state is fixed by u and m's earlier outputs.  Where (u, e) is
+    bisimilar to e those outputs are m's own, so each output of m from e
+    is fixed by m's earlier outputs: m emits one stream from e, whatever
+    the input word.  m⋄U from (e, u) feeds m some word, so it emits that
+    same stream for every u.  A candidate thus fails only in the
+    "post-composition" direction."""
     if max_states < 1:
         raise MachineError("max_states must be ≥ 1")
     if not probes:
@@ -290,12 +294,10 @@ def search_moore_identity(
         _require_kind(probe, MealyMachine, "search_moore_identity probe")
     survivors = []
     failures = []
-    checked = 0
     for idx, candidate in enumerate(all_moore_up_to(a, a, max_states)):
-        checked += 1
         failed = None
         for p_idx, probe in enumerate(probes):
-            if not _pointwise_identity(ltimes(candidate, probe), probe):
+            if not _pointwise_identity(candidate, probe):
                 failed = (idx, p_idx, "post-composition")
                 break
         if failed is None:
@@ -310,4 +312,5 @@ def search_moore_identity(
             "all probes have letter-independent output rows; add a probe "
             "with letter-dependent output to rule the survivors out"
         )
-    return IdentitySearchReport(a, max_states, checked, tuple(survivors), tuple(failures), warning)
+    return IdentitySearchReport(a, max_states, len(survivors) + len(failures), tuple(survivors),
+                                tuple(failures), warning)

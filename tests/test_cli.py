@@ -371,6 +371,10 @@ class TestTransform:
     def test_moorify_rejects_moore(self, files, capsys):
         assert main(["transform", "moorify", files["cpar"]]) == 2
 
+    def test_moorify_requires_file(self, files, capsys):
+        assert main(["transform", "moorify"]) == 2
+        assert capsys.readouterr().err == "error: transform moorify needs a machine file\n"
+
 
 class TestCheck:
     def test_soft_true(self, files, capsys):
@@ -462,10 +466,16 @@ class TestAdjunctionAndCorrespondence:
         assert main(["correspondence", files["u2"], files["par"]]) == 2
 
     def test_correspondence_on_soft(self, files, capsys):
-        rc = main(["correspondence", files["p2"], files["par"]])
+        assert main(["correspondence", files["p2"], files["par"]]) == 0
+        assert capsys.readouterr().out == "correspondence: SUCCESS\n  left homs: 0, right homs: 0\n"
+
+    def test_correspondence_failure(self, files, capsys):
+        decapitated = str(files["dir"] / "decapitated.machine")
+        assert main(["transform", "decapitate", files["par"], "-o", decapitated]) == 0
+        assert main(["correspondence", decapitated, files["par"]]) == 1
         out = capsys.readouterr().out
-        assert "correspondence:" in out
-        assert rc in (0, 1)
+        assert out.startswith("correspondence: FAILURE\n  left homs: 0, right homs: 4\n")
+        assert "  counterexample: projection of " in out
 
 
 class TestSearchIdentity:
@@ -591,7 +601,8 @@ def requests(draw):
     if words not in COMMANDS or draw(st.booleans()):
         return list(words) + draw(st.lists(token, max_size=6))
     command, value = COMMANDS[words], st.sampled_from(TOKEN_KINDS[0])
-    tokens = draw(st.lists(value, min_size=command.least, max_size=command.least + 1))
+    arity = command.arity or 0  # None for a variadic command
+    tokens = draw(st.lists(value, min_size=arity, max_size=arity + 1))
     flags = [action.option_strings[-1] for action in command.required]
     if command.flags:
         flags += draw(st.lists(st.sampled_from(sorted(command.flags)), max_size=2))
@@ -654,6 +665,19 @@ BENCHMARK_REQUESTS = [
 def test_plain_requests_are_read_from_the_grammar(argv):
     plain = cli._plain_args(COMMANDS, argv)
     assert plain is not None and vars(plain) == _argparse_vars(argv)
+
+
+def test_omitted_and_variadic_positionals_go_to_argparse(files, capsys):
+    # The file of transform u is left out, and the files of check pentagon
+    # are variadic: neither request has a plain arity, so argparse reads it.
+    universal = ["transform", "u", "--alphabet", "0,1"]
+    pentagon = ["check", "pentagon", files["par"], files["cpar"], files["u2"], files["p2"]]
+    assert cli._plain_args(COMMANDS, universal) is None
+    assert cli._plain_args(COMMANDS, pentagon) is None
+    assert main(universal) == 0
+    assert capsys.readouterr().out == serialize_machine(universal_u(BITS))
+    assert main(pentagon) == 0
+    assert capsys.readouterr().out == "pentagon: true\n"
 
 
 def test_main_reads_plain_requests_without_argparse(files, monkeypatch, capsys):

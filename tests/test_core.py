@@ -323,6 +323,10 @@ class TestIsHomomorphism:
         assert dict(compose_maps(psi, phi).map) == {"q0": "q0", "q1": "q0"}
         assert dict(compose_maps(phi, psi).map) == {"q0": "q1", "q1": "q1"}
 
+    def test_compose_maps_needs_a_shared_middle(self, par, cpar):
+        with pytest.raises(EndpointMismatch):
+            compose_maps(identity_map(cpar), identity_map(par))
+
     def test_map_totality_enforced(self, par):
         with pytest.raises(MissingEntry):
             StateMap(par, par, {"q0": "q0"})

@@ -38,6 +38,7 @@ from mealymoore.generate import all_mealy_up_to, all_moore_up_to, random_mealy, 
 
 from oracles import (
     counit_holds,
+    delta_maps,
     homs,
     letter_independent,
     lifted_by_tables,
@@ -198,13 +199,22 @@ class TestCorrespondence:
             check_hom_correspondence(u2, par)
 
     def test_one_state_soft_vs_par(self, bits, par):
+        # par flips its state on 1, so no map from one state is a δ-map:
+        # both hom-sets are empty, and the empty bijection succeeds.
         report = check_hom_correspondence(one_state_moore(bits), par)
-        assert report.left is not None and report.right is not None
-        assert report.success or report.counterexample
+        assert report.success and report.counterexample is None
+        assert (len(report.left.homs), len(report.right.homs), report.pairs) == (0, 0, ())
 
     def test_decapitated_par_vs_par(self, par):
-        report = check_hom_correspondence(decapitate(par), par)
-        assert isinstance(report.success, bool)
+        # Every δ-map lifts to a right hom, but none preserves par's
+        # outputs, so there is no left hom.
+        n = decapitate(par)
+        report = check_hom_correspondence(n, par)
+        assert not report.success and report.pairs == ()
+        assert len(report.left.homs) == 0
+        assert len(report.right.homs) == len(delta_maps(n, par)) == 4
+        identity = {e: e for e in n.states}  # the first right hom
+        assert report.counterexample == "projection of %r is not in the left hom-set" % (identity,)
 
     def test_deterministic(self, bits, par):
         r1 = check_hom_correspondence(one_state_moore(bits), par)

@@ -5,6 +5,7 @@ import pytest
 from mealymoore import (
     Alphabet,
     LetterOutOfAlphabet,
+    MachineError,
     MooreMachine,
     PointedMachine,
     StateMap,
@@ -230,6 +231,10 @@ class TestSoftness:
     def test_softness_level_report(self, u2, p2):
         assert softness_level(p2, 3).level == 1
         assert softness_level(u2, 3).level is None
+
+    def test_softness_level_needs_a_bound(self, p2):
+        with pytest.raises(MachineError):
+            softness_level(p2, 0)
 
     @pytest.mark.parametrize("length", [2, 3, 4, 5])
     def test_softness_level_reaches_the_bound(self, length):
