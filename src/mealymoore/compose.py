@@ -66,8 +66,8 @@ def compose_cells(second: Machine, first: Machine) -> Machine:
     else:
         o = tuple([o for o in o2 for _ in range(n1)])
     kind = MealyMachine if first_mealy and second_mealy else MooreMachine
-    return kind._trusted(first.input, second.output,
-                         {"_d": d, "_o": o, "_n": second._n * n1, "_factors": (second, first)})
+    return kind._trusted({"input": first.input, "output": second.output, "_d": d, "_o": o,
+                          "_n": second._n * n1, "_factors": (second, first)})
 
 
 def _require_kinds(name, second, first, second_kind, first_kind):
@@ -121,15 +121,7 @@ class StateBijection(_Value):
         # = δ(backward(t), a), and out(t, a) = out(s, a) = out(backward(t), a).
         if not is_homomorphism(forward):
             raise NotAnIso("both directions must be homomorphisms")
-        self._set(source, target, forward, backward)
-
-    @classmethod
-    def _trusted(cls, source, target, forward, backward):
-        """An isomorphism the library built by a fixed re-bracketing, so
-        inverse homomorphisms by construction: no check."""
-        iso = object.__new__(cls)
-        iso.__dict__.update(source=source, target=target, forward=forward, backward=backward)
-        return iso
+        _Value.__init__(self, source, target, forward, backward)
 
 
 class NotAnIso(KindMismatch):
@@ -145,12 +137,14 @@ def associator(h: Machine, g: Machine, f: Machine) -> StateBijection:
     by (h, g⋄f): both maps are the identity, inverse homomorphisms by definition.
     """
     left = compose_cells(compose_cells(h, g), f)
-    right = type(left)._trusted(f.input, h.output, {"_d": left._d, "_o": left._o, "_n": left._n,
-                                                    "_factors": (h, compose_cells(g, f))})
+    right = type(left)._trusted({"input": f.input, "output": h.output, "_d": left._d, "_o": left._o,
+                                 "_n": left._n, "_factors": (h, compose_cells(g, f))})
     same = tuple(range(left._n))
-    return StateBijection._trusted(
-        left, right, StateMap._trusted(left, right, same), StateMap._trusted(right, left, same)
-    )
+    return StateBijection._trusted({
+        "source": left, "target": right,
+        "forward": StateMap._trusted({"source": left, "target": right, "_img": same}),
+        "backward": StateMap._trusted({"source": right, "target": left, "_img": same}),
+    })
 
 
 def check_pentagon(k: Machine, h: Machine, g: Machine, f: Machine) -> bool:

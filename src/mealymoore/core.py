@@ -19,6 +19,9 @@ tables are built on first access and kept.  The named ``delta`` and
 ``out`` are read-only mappings, so the two forms cannot drift apart.
 
 All values are immutable after construction and all operations are pure.
+A value is built in one of two ways (see ``_Value``): a public
+constructor checks its arguments and sets the fields, and a value the
+library built itself is ``_trusted`` from a dict of its fields, unchecked.
 """
 
 from __future__ import annotations
@@ -78,15 +81,34 @@ class NotAHomomorphism(MachineError):
 
 
 class _Value:
-    """Base of the library's immutable values: ``__init__`` sets each field once with
-    ``object.__setattr__`` (call by call where it runs hot, not through ``_set``), which
-    keeps the instance dict compact; later writes raise.  Equality and repr go by ``_fields``."""
+    """Base of the library's immutable values, built one of two ways.
+
+    ``_Value.__init__(*values)`` sets the ``_fields`` in order, one
+    ``object.__setattr__`` per field, so the values of a class share the
+    keys of one compact instance dict: a validating constructor calls it
+    once its checks pass, and a record with nothing to check has it as
+    its constructor.  ``_trusted(fields)`` makes the new dict ``fields``
+    the instance dict, with no check and no copy: the path of the values
+    the library builds itself, faster than the loop, though a dict of its
+    own takes more bytes than one with shared keys.  ``Alphabet`` and
+    ``PointedMachine``, built per operation, unroll the loop into one
+    call per field.  Later writes raise.  Equality and repr go by
+    ``_fields``."""
 
     _fields = ()
 
-    def _set(self, *values):
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError("%s takes %d arguments (%d given)"
+                            % (type(self).__qualname__, len(self._fields), len(values)))
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, fields):
+        value = object.__new__(cls)
+        object.__setattr__(value, "__dict__", fields)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)
@@ -189,10 +211,15 @@ class _Machine(_Value):
     builds the index form, so a machine leaves it with both, and keeps
     read-only copies of them: neither the caller's dicts nor writes
     through ``delta`` or ``out`` can change a validated machine.  Every
-    machine the library builds starts in index form (``_trusted``), and
-    its named view, built on first access, is read-only too, so on every
-    machine the two forms agree, and no machine sharing a table with
-    another can be changed through it."""
+    machine the library builds starts in index form, from tables it
+    built total and well-typed itself: ``_trusted`` keeps a new dict of
+    ``input``, ``output``, the index form ``_d``, ``_o`` and ``_n`` (the
+    state count) and the state names, ``states``, a tuple, or
+    ``_factors``, the pair (second, first) of a composite, whose state
+    (f, e) has index f·|first| + e.  Its named view, built on first
+    access, is read-only too, so on every machine the two forms agree,
+    and no machine sharing a table with another can be changed through
+    it."""
 
     _fields = ("input", "output", "states", "delta", "out")
 
@@ -213,33 +240,22 @@ class _Machine(_Value):
         d = _index_table("delta", delta, keys, pos, "delta target %s is not a declared state")
         o = _index_table("out", out, keys if self._out_by_letter else states, code,
                          "output letter %s is not in the output alphabet")
-        self._set(input, output, states, MappingProxyType(delta), MappingProxyType(out))
+        _Value.__init__(self, input, output, states, MappingProxyType(delta), MappingProxyType(out))
         for name, value in (("_pos", pos), ("_d", d), ("_o", o), ("_n", len(states))):
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def _trusted(cls, input, output, tables):
-        """A machine from tables the library built total and well-typed
-        itself: no check, no copy.  ``tables`` is a new dict, which the
-        machine keeps as its instance dict, of the index form ``_d``,
-        ``_o`` and ``_n`` (the state count) with the state names:
-        ``states``, a tuple, or ``_factors``, the pair (second, first) of
-        a composite, whose state (f, e) has index f·|first| + e."""
-        m = object.__new__(cls)
-        tables["input"], tables["output"] = input, output
-        object.__setattr__(m, "__dict__", tables)
-        return m
-
     @_lazy
     def delta(self):
-        keys = itertools.product(self.states, self.input.symbols)
-        return MappingProxyType(dict(zip(keys, map(self.states.__getitem__, self._d))))
+        states = self.states
+        keys = itertools.product(states, self.input.symbols)
+        return MappingProxyType(dict(zip(keys, [states[t] for t in self._d])))
 
     @_lazy
     def out(self):
         keys = (itertools.product(self.states, self.input.symbols) if self._out_by_letter
                 else self.states)
-        return MappingProxyType(dict(zip(keys, map(self.output.symbols.__getitem__, self._o))))
+        names = self.output.symbols
+        return MappingProxyType(dict(zip(keys, [names[b] for b in self._o])))
 
     @_lazy
     def states(self):
@@ -250,7 +266,7 @@ class _Machine(_Value):
     def _pos(self):
         return dict(zip(self.states, range(self._n)))
 
-    _factors = None  # a composite's (second, first), set by ``_trusted``
+    _factors = None  # a composite's (second, first), in the dict it was built from
 
     def _index(self, s):
         """The index of state s, or None if s is not a state: on a
@@ -367,7 +383,8 @@ def _validate_raw(raw, cls):
         d = _walk_rows(raw.get("delta"), states, inp.symbols, pos)
         o = _walk_rows(raw.get("out"), states, inp.symbols if cls._out_by_letter else None, code)
         if n and len(pos) == n and d is not None and o is not None:
-            return cls._trusted(inp, outp, {"states": states, "_pos": pos, "_d": d, "_o": o, "_n": n})
+            return cls._trusted({"input": inp, "output": outp, "states": states, "_pos": pos,
+                                 "_d": d, "_o": o, "_n": n})
     except (KeyError, TypeError):  # TypeError: an unhashable name or value
         pass
     delta = _flatten_table(raw.get("delta", {}), "delta")
@@ -461,7 +478,10 @@ class StateMap(_Value):
     read-only copy of the mapping given; the check that it is total and
     lands in the target's states builds, in the same pass, ``_img``: the
     tuple of target-state indices, one per source-state index, which is
-    what the kernels read."""
+    what the kernels read.  A map the library built total between
+    machines of one kind with common endpoints is ``_trusted`` from
+    ``source``, ``target`` and ``_img``, its ``map`` built on first
+    access."""
 
     _fields = ("source", "target", "map")
 
@@ -478,23 +498,13 @@ class StateMap(_Value):
         if None in img:
             image = table[states[img.index(None)]]
             raise UnknownSymbol("map image %r is not a target state" % (image,))
-        self._set(source, target, MappingProxyType(table))
+        _Value.__init__(self, source, target, MappingProxyType(table))
         object.__setattr__(self, "_img", img)
-
-    @classmethod
-    def _trusted(cls, source, target, img):
-        """A state map the library built total between machines of one
-        kind with common endpoints, as the tuple ``img`` of target-state
-        indices, one per source-state index: no check, no copy.  The
-        named ``map`` is built on first access."""
-        phi = object.__new__(cls)
-        phi.__dict__.update(source=source, target=target, _img=img)
-        return phi
 
     @_lazy
     def map(self):
-        images = map(self.target.states.__getitem__, self._img)
-        return MappingProxyType(dict(zip(self.source.states, images)))
+        states = self.target.states
+        return MappingProxyType(dict(zip(self.source.states, [states[t] for t in self._img])))
 
 
 def is_homomorphism(phi: StateMap) -> bool:
@@ -505,7 +515,7 @@ def is_homomorphism(phi: StateMap) -> bool:
     mealy = isinstance(source, MealyMachine)
     for i, t in enumerate(img):
         x, y = i * k, t * k
-        if tuple(map(img.__getitem__, d1[x:x + k])) != d2[y:y + k]:
+        if tuple([img[z] for z in d1[x:x + k]]) != d2[y:y + k]:
             return False
         if o1[x:x + k] != o2[y:y + k] if mealy else o1[i] != o2[t]:
             return False
@@ -513,11 +523,13 @@ def is_homomorphism(phi: StateMap) -> bool:
 
 
 def identity_map(m: Machine) -> StateMap:
-    return StateMap._trusted(m, m, tuple(range(m._n)))
+    return StateMap._trusted({"source": m, "target": m, "_img": tuple(range(m._n))})
 
 
 def compose_maps(psi: StateMap, phi: StateMap) -> StateMap:
     """Vertical composition psi∘phi of state maps."""
     if phi.target != psi.source:
         raise EndpointMismatch("maps are not composable")
-    return StateMap._trusted(phi.source, psi.target, tuple(map(psi._img.__getitem__, phi._img)))
+    img = psi._img
+    return StateMap._trusted({"source": phi.source, "target": psi.target,
+                              "_img": tuple([img[t] for t in phi._img])})

@@ -2,12 +2,12 @@
 
 Enumeration order is lexicographic over the table entries with states
 and letters in declaration order, so sweeps and reports are diffable.
-The tables built here are total by construction, so the machines skip
-the table check.  Every machine here is built in index form (see
-``core``), its named tables on first access; enumerated machines share
-their index tuples.  A random machine draws its targets, then its
-outputs, in table order with ``rng.choice`` over tuples of indices,
-which draws the same indices as a choice over the names would.
+The tables built here are total by construction, so every machine here
+is ``_trusted`` from a dict of its fields in index form, with no table
+check (see ``core``), its named tables built on first access; enumerated
+machines share their index tuples.  A random machine draws its targets,
+then its outputs, in table order with ``rng.choice`` over tuples of
+indices, which draws the same indices as a choice over the names would.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ def _all(kind, inp, outp, n_states):
     outs = cells if kind._out_by_letter else n_states  # entries in the output table
     for targets in itertools.product(range(n_states), repeat=cells):
         for letters in itertools.product(range(len(outp)), repeat=outs):
-            yield kind._trusted(inp, outp, {"_d": targets, "_o": letters, "_n": n_states,
-                                            "states": states})
+            yield kind._trusted({"input": inp, "output": outp, "_d": targets, "_o": letters,
+                                 "_n": n_states, "states": states})
 
 
 def all_mealy(inp: Alphabet, outp: Alphabet, n_states: int) -> Iterator[MealyMachine]:
@@ -85,7 +85,8 @@ def _random(kind, rng, inp, outp, n_states):
     cells, targets, letters = n_states * len(inp), tuple(range(n_states)), tuple(range(len(outp)))
     d = tuple([rng.choice(targets) for _ in range(cells)])
     o = tuple([rng.choice(letters) for _ in range(cells if kind._out_by_letter else n_states)])
-    return kind._trusted(inp, outp, {"_d": d, "_o": o, "_n": n_states, "states": states})
+    return kind._trusted({"input": inp, "output": outp, "_d": d, "_o": o, "_n": n_states,
+                          "states": states})
 
 
 def random_mealy(rng: random.Random, inp: Alphabet, outp: Alphabet, n_states: int) -> MealyMachine:

@@ -55,11 +55,6 @@ class HomSet(_Value):
 
     _fields = ("source", "target", "homs")
 
-    def __init__(self, source: Machine, target: Machine, homs: tuple[StateMap, ...]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "homs", homs)
-
     def maps(self):
         return [phi.map for phi in self.homs]
 
@@ -130,8 +125,8 @@ def enumerate_homs(m1: Machine, m2: Machine) -> HomSet:
         if i < n:
             stack.append([i, 0, len(trail)])
         else:
-            homs.append(StateMap._trusted(m1, m2, tuple(phi)))
-    return HomSet(m1, m2, tuple(homs))
+            homs.append(StateMap._trusted({"source": m1, "target": m2, "_img": tuple(phi)}))
+    return HomSet._trusted({"source": m1, "target": m2, "homs": tuple(homs)})
 
 
 class BijectionReport(_Value):
@@ -140,13 +135,6 @@ class BijectionReport(_Value):
     element."""
 
     _fields = ("left", "right", "pairs", "success", "counterexample")
-
-    def __init__(self, left, right, pairs, success, counterexample):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "success", success)
-        object.__setattr__(self, "counterexample", counterexample)
 
 
 def _transpose_report(left, right):
@@ -166,7 +154,9 @@ def _transpose_report(left, right):
     is no transpose, the first whose projection is not a left hom, is
     the counterexample."""
     if len(left.homs) == len(right.homs):
-        return BijectionReport(left, right, tuple(zip(left.homs, right.homs)), True, None)
+        return BijectionReport._trusted({"left": left, "right": right,
+                                         "pairs": tuple(zip(left.homs, right.homs)),
+                                         "success": True, "counterexample": None})
     width, images = left.target._n, {phi._img for phi in left.homs}
     psi = next(psi for psi in right.homs if tuple(t % width for t in psi._img) not in images)
     return BijectionReport(left, right, (), False,
@@ -246,10 +236,6 @@ class IdentitySearchReport(_Value):
     # failures: the (candidate index, probe index, direction) of each first failure
     _fields = ("alphabet", "max_states", "candidates_checked", "survivors", "failures",
                "probe_warning")
-
-    def __init__(self, alphabet, max_states, candidates_checked, survivors, failures,
-                 probe_warning):
-        self._set(alphabet, max_states, candidates_checked, survivors, failures, probe_warning)
 
 
 def _pointwise_identity(candidate, probe):

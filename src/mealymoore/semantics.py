@@ -54,13 +54,10 @@ class PointedMachine(_Value):
 def run(p: PointedMachine, word: Iterable[Letter]) -> Letter:
     """The output after ``word`` from the start state: that of the state
     reached (Moore, which also answers on the empty word) or of the last
-    (state, letter) cell (Mealy).  One walk over the word (``_walk``),
-    O(|Q|·|A| + |w|) in all."""
-    m = p.machine
-    if isinstance(m, MooreMachine):
-        return m.output.symbols[_walk(m, p._i, word, m._o)[-1]]
-    emitted = _walk(m, p._i, word)
-    if not emitted:
+    (state, letter) cell (Mealy): the last output of ``trace``, in one
+    walk over the word, O(|Q|·|A| + |w|) in all."""
+    emitted = trace(p, word)
+    if not emitted:  # only a Mealy trace is empty
         raise EmptyWordOnMealy("a Mealy machine has no output on the empty word")
     return emitted[-1]
 

@@ -27,9 +27,6 @@ class FormalId(_Value):
 
     _fields = ("at",)
 
-    def __init__(self, at: Alphabet):
-        object.__setattr__(self, "at", at)
-
     def __hash__(self):
         return hash((self.at,))
 
@@ -85,7 +82,7 @@ class UMap(_Value):
                 raise KindMismatch("a 2-cell between machines needs a state map")
             if statemap.source != source or statemap.target != target:
                 raise EndpointMismatch("state map endpoints disagree with the cells")
-        self._set(source, target, statemap)
+        _Value.__init__(self, source, target, statemap)
 
     @property
     def is_formal(self):
@@ -109,7 +106,8 @@ def ucompose2(psi: UMap, phi: UMap) -> UMap:
         return UMap(source, target, phi.statemap)
     width = phi.target._n  # the target state (f, e) has index f·width + e
     img = tuple(f * width + e for f in psi.statemap._img for e in phi.statemap._img)
-    return UMap(source, target, StateMap._trusted(source, target, img))
+    return UMap(source, target,
+                StateMap._trusted({"source": source, "target": target, "_img": img}))
 
 
 def check_triangle(c2: UCell, c1: UCell) -> bool:

@@ -11,7 +11,7 @@ concrete conversion functors from Moore to Mealy machines.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .compose import compose_cells
 from .core import (
@@ -79,15 +79,17 @@ def embed_j(m: MooreMachine) -> MealyMachine:
     the current letter.  Raises KindMismatch on a Mealy machine."""
     _require_kind(m, MooreMachine, "embed_j")
     o = tuple([b for b in m._o for _ in m.input.symbols])
-    return MealyMachine._trusted(m.input, m.output, {"_d": m._d, "_o": o, **m._names()})
+    return MealyMachine._trusted({"input": m.input, "output": m.output, "_d": m._d, "_o": o,
+                                  **m._names()})
 
 
 def apply_D1(m: MooreMachine) -> MealyMachine:
     """D₁: same states and dynamics, but the output anticipates one step,
     out'(e, a) = out(delta(e, a)).  Raises KindMismatch on a Mealy machine."""
     _require_kind(m, MooreMachine, "apply_D1")
-    o = tuple(map(m._o.__getitem__, m._d))
-    return MealyMachine._trusted(m.input, m.output, {"_d": m._d, "_o": o, **m._names()})
+    o = m._o
+    return MealyMachine._trusted({"input": m.input, "output": m.output, "_d": m._d,
+                                  "_o": tuple([o[t] for t in m._d]), **m._names()})
 
 
 def d_iter(m: Machine, e: State, word: Iterable[Letter]) -> State:
@@ -159,11 +161,6 @@ class SoftnessReport(_Value):
     """
 
     _fields = ("machine", "level", "bound")
-
-    def __init__(self, machine: MooreMachine, level: Optional[int], bound: int):
-        object.__setattr__(self, "machine", machine)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "bound", bound)
 
 
 def softness_level(m: MooreMachine, bound: int) -> SoftnessReport:

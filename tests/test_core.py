@@ -268,6 +268,43 @@ class TestValuesAreImmutable:
             value.unknown = None
         assert getattr(value, field) is before
 
+    @pytest.mark.parametrize("name", sorted(_values()))
+    def test_repr_names_class_and_fields(self, name):
+        # perfbench/selftest.py fingerprints its inputs by this repr, so it
+        # must hold the fields, never a memory address.
+        value = _values()[name]
+        fields = ", ".join("%s=%r" % (f, getattr(value, f)) for f in value._fields)
+        assert repr(value) == "%s(%s)" % (name, fields)
+        assert " at 0x" not in repr(value)
+
+    @pytest.mark.parametrize("name", sorted(_values()))
+    def test_unequal_to_other_classes(self, name):
+        values = _values()
+        value = values[name]
+        for other in (v for n, v in values.items() if n != name):
+            assert value.__eq__(other) is NotImplemented
+            assert value != other and not value == other
+
+    @pytest.mark.parametrize(
+        "name", ["BijectionReport", "FormalId", "HomSet", "IdentitySearchReport", "SoftnessReport"]
+    )
+    def test_records_rebuild_from_their_fields(self, name):
+        value = _values()[name]
+        fields = [getattr(value, f) for f in value._fields]
+        assert type(value)(*fields) == value
+        with pytest.raises(TypeError):
+            type(value)(*fields[:-1])
+        with pytest.raises(TypeError):
+            type(value)(*fields, None)
+
+    def test_formal_identity_hash_ignores_alphabet_name(self):
+        renamed = FormalId(Alphabet("renamed", BITS.symbols))
+        assert renamed == FormalId(BITS) and hash(renamed) == hash(FormalId(BITS))
+
+    def test_alphabet_membership_and_iteration(self):
+        assert "0" in BITS and "2" not in BITS
+        assert list(BITS) == ["0", "1"]
+
 
 class TestIdentityCell:
     def test_echoes_each_letter(self, bits):
