@@ -481,7 +481,8 @@ class StateMap(_Value):
     what the kernels read.  A map the library built total between
     machines of one kind with common endpoints is ``_trusted`` from
     ``source``, ``target`` and ``_img``, its ``map`` built on first
-    access."""
+    access.  Equality goes by ``source``, ``target`` and ``_img``, so
+    comparing maps builds no ``map``."""
 
     _fields = ("source", "target", "map")
 
@@ -500,6 +501,13 @@ class StateMap(_Value):
             raise UnknownSymbol("map image %r is not a target state" % (image,))
         _Value.__init__(self, source, target, MappingProxyType(table))
         object.__setattr__(self, "_img", img)
+
+    def __eq__(self, other):
+        # Equal endpoints have equal state tuples, on which the named map
+        # and _img determine each other, so _img decides.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.source == other.source and self.target == other.target and self._img == other._img
 
     @_lazy
     def map(self):

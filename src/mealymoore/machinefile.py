@@ -12,16 +12,23 @@ machines stay auditable; parse(serialize(m)) == m for machines whose
 states are plain names.  Distinct states that render to one name, such
 as ("a", "b,c") and ("a,b", "c"), are refused: the file would not load.
 So is an input or output symbol that is not a string, such as a number
-of an alphabet built in Python: the file holds strings only.
+of an alphabet built in Python: the file holds strings only; and so is a
+symbol or state name holding a lone surrogate, which a file can spell as
+the JSON escape "\\ud800" but which has no UTF-8 form to write back.
 The writer renders the text from the index form, as json.dumps(doc,
 ensure_ascii=False, indent=2) prints it; ``machine_to_raw`` is that text
-parsed.  The reader walks the nested rows into the index form once; a
-document failing a check is read again only to name the fault.
+parsed.  ``save_machine`` rewrites an existing file in place and cuts it
+to the written length, a regular file only; the write is not atomic.
+The reader walks the nested rows into the index form once; a document
+failing a check is read again only to name the fault.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import re
+import stat
 from json.encoder import encode_basestring
 from typing import Union
 
@@ -36,6 +43,7 @@ from .core import (
 
 FORMAT_VERSION = 1
 _FIELDS = {"version", "kind", "input", "output", "states", "delta", "out"}
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class MachineFileError(MachineError):
@@ -118,9 +126,23 @@ def _names(m: Machine) -> list:
     return ["⟨%s,%s⟩" % (f, e) for f in _names(factors[0]) for e in first]
 
 
+def _unencodable(m: Machine, names: list) -> str:
+    """The first symbol, input alphabet first, or else state of m whose
+    text holds a lone surrogate."""
+    for alphabet in (m.input, m.output):
+        for symbol in alphabet.symbols:
+            if _SURROGATE.search(symbol):
+                return "symbol %r of alphabet %r" % (symbol, alphabet.name)
+    return "state %r" % (next(e for e, text in zip(m.states, names) if _SURROGATE.search(text)),)
+
+
 def serialize_machine(m: Machine) -> str:
     """The machine file of m, rendered from the index form with each
-    state name and symbol quoted once."""
+    state name and symbol quoted once.  Before rendering it refuses a
+    symbol that is not a string (MachineFileError), two states that
+    render to one name (DuplicateName), and a symbol or state name that
+    holds a lone surrogate (MachineFileError), found by encoding the
+    names and symbols alone."""
     for alphabet in (m.input, m.output):
         for symbol in alphabet.symbols:
             if not isinstance(symbol, str):
@@ -132,6 +154,11 @@ def serialize_machine(m: Machine) -> str:
         for e, text in zip(m.states, names):
             if owner.setdefault(text, e) != e:
                 raise DuplicateName("states %r and %r both render as %r" % (owner[text], e, text))
+    try:  # a lone surrogate has no UTF-8 form, so the file could not be written
+        "".join([*m.input.symbols, *m.output.symbols, *names]).encode("utf-8")
+    except UnicodeEncodeError:
+        raise MachineFileError("%s holds a lone surrogate; a machine file is UTF-8 text"
+                               % _unencodable(m, names)) from None
     q = list(map(encode_basestring, names))
     mealy = isinstance(m, MealyMachine)
     letters = list(map(encode_basestring, m.input.symbols))
@@ -157,6 +184,22 @@ def machine_to_raw(m: Machine) -> dict:
 
 
 def save_machine(m: Machine, path) -> None:
-    text = serialize_machine(m)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    """Write the machine file of m to path, rewriting the file in place.
+
+    The text is rendered, and any refusal raised, before the path is
+    opened, so a refused machine leaves an existing file as it was.  The
+    file is opened for writing without O_TRUNC (created with mode 0o666
+    less the umask, as by ``open(path, "w")``; a symbolic link is written
+    through), overwritten from its start and then cut to the written
+    length, which is only done for a regular file: ``/dev/null`` or a
+    pipe cannot be truncated.  Truncating an open file to zero before
+    writing it again, as ``open(path, "w")`` does, makes ext4 (with its
+    default ``auto_da_alloc``) start writeback of the new data at close,
+    which costs several times the write itself.  The write is not
+    atomic: there is no fsync and no rename, so a write that fails part
+    way may leave a file that does not load."""
+    data = serialize_machine(m).encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        handle.write(data)
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate()

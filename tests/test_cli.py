@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import random
 import shlex
 import tempfile
@@ -312,6 +313,51 @@ class TestCompose:
             "delta": {"s": {"a": "s"}}, "out": {"s": {"a": "a"}},
         }))
         assert main(["compose", str(three), files["par"]]) == 2
+
+
+def test_compose_overwrites_a_larger_file(files, capsys):
+    # The file already holds u2⋄u2⋄cpar; writing u2⋄cpar over it leaves
+    # exactly what compose prints, which validates.
+    out = str(files["dir"] / "x.machine")
+    inner = str(files["dir"] / "u2_cpar.machine")
+    assert main(["compose", files["u2"], files["cpar"], "-o", inner]) == 0
+    assert main(["compose", files["u2"], inner, "-o", out]) == 0
+    larger = Path(out).stat().st_size
+    capsys.readouterr()
+    assert main(["compose", files["u2"], files["cpar"]]) == 0
+    printed = capsys.readouterr().out
+    assert main(["compose", files["u2"], files["cpar"], "-o", out]) == 0
+    assert len(printed.encode("utf-8")) < larger
+    assert Path(out).read_bytes() == printed.encode("utf-8")
+    assert main(["validate", out]) == 0
+    assert capsys.readouterr().out == "valid: moore, 4 states\n"
+
+
+def test_compose_to_dev_null(files, capsys):
+    assert main(["compose", files["u2"], files["cpar"], "-o", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_surrogate_state_validates_but_is_not_written(files, capsys):
+    # par with its state q1 written as the JSON escape \ud800x.
+    path = str(files["dir"] / "surrogate.machine")
+    text = Path(files["par"]).read_text(encoding="utf-8").replace('"q1"', '"\\ud800x"')
+    Path(path).write_text(text, encoding="utf-8")
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().out == "valid: mealy, 2 states\n"
+    target, absent = files["dir"] / "target.machine", files["dir"] / "absent.machine"
+    target.write_bytes(Path(files["u2"]).read_bytes())
+    error = ("error: state ('q0', '\\ud800x') holds a lone surrogate; "
+             "a machine file is UTF-8 text\n")
+    for argv in (["compose", files["par"], path, "-o", str(target)],
+                 ["compose", files["par"], path, "-o", str(absent)],
+                 ["compose", files["par"], path]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", error)
+    assert target.read_bytes() == Path(files["u2"]).read_bytes()
+    assert not absent.exists()
+    assert main(["transform", "moorify", path]) == 2
+    assert capsys.readouterr() == ("", error.replace("'q0'", "'0'"))
 
 
 def test_written_files_match_the_oracle(tmp_path, capsys):

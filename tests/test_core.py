@@ -390,6 +390,48 @@ class TestIsHomomorphism:
         assert phi._img == (3, 2, 1, 0)
 
 
+def named_verdict(phi, psi):
+    """Equality of state maps decided on their named maps."""
+    return (phi.source, phi.target, dict(phi.map)) == (psi.source, psi.target, dict(psi.map))
+
+
+class TestStateMapEquality:
+    def test_builds_no_map(self, par):
+        # Every state of m moves to s0 and emits 0: its homs fix s0 and
+        # send s1 and s2 anywhere.
+        q = ("s0", "s1", "s2")
+        m = MooreMachine(BITS, BITS, q, {(e, x): "s0" for e in q for x in "01"}, dict.fromkeys(q, "0"))
+        phi, psi = enumerate_homs(par, par).homs[0], enumerate_homs(par, par).homs[0]
+        first, second = enumerate_homs(m, m), enumerate_homs(m, m)
+        maps = (phi, psi) + first.homs + second.homs
+        assert len(first.homs) == 9 and not any("map" in x.__dict__ for x in maps)
+        assert phi == psi and not phi != psi
+        assert first == second
+        assert not any("map" in x.__dict__ for x in maps)
+
+    def test_verdicts_match_named_maps(self):
+        # Homs the library built and maps the public constructor built,
+        # between seeded machines and their rebuilt equal copies.
+        rng = random.Random(17)
+        a = Alphabet("A", ("0", "1"))
+        machines = []
+        for _ in range(6):
+            m = rng.choice((random_mealy, random_moore))(rng, a, a, rng.randint(1, 3))
+            machines += [m, rebuilt(m)]
+        maps = []
+        for m1 in machines:
+            for m2 in machines:
+                if type(m1) is type(m2):
+                    maps += enumerate_homs(m1, m2).homs
+                    maps.append(StateMap(m1, m2, {e: rng.choice(m2.states) for e in m1.states}))
+        verdicts = [phi == psi for phi in maps for psi in maps]
+        assert verdicts == [named_verdict(phi, psi) for phi in maps for psi in maps]
+        assert 0 < sum(verdicts) < len(verdicts)
+        # Equal endpoints with different images are told apart.
+        assert any(phi.source == psi.source and phi.target == psi.target and not phi == psi
+                   for phi in maps for psi in maps)
+
+
 def rebuilt(m):
     """The machine the public, checking constructor builds from m's fields."""
     return type(m)(m.input, m.output, m.states, m.delta, m.out)

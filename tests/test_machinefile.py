@@ -3,6 +3,7 @@ import json
 import os
 import random
 import reprlib
+import stat
 import sys
 import tempfile
 
@@ -240,6 +241,12 @@ def writer_cases(seed):
     yield compose_cells(third, two)
 
 
+def loops(*states):
+    """A Moore machine over {x} that stays in each of its states."""
+    one = Alphabet("one", ("x",))
+    return MooreMachine(one, one, states, {(e, "x"): e for e in states}, {e: "x" for e in states})
+
+
 def assert_same_collision(m, expected):
     with pytest.raises(DuplicateName) as got:
         serialize_machine(m)
@@ -288,16 +295,10 @@ class TestWriterOracle:
         assert written >= 2000 and refused >= 1000
 
     def test_collisions_named_like_the_oracle(self):
-        one = Alphabet("one", ("x",))
-
-        def loops(*states):
-            return MooreMachine(one, one, states, {(e, "x"): e for e in states},
-                                {e: "x" for e in states})
-
         # ("a", "b,c") and ("a,b", "c") both render as ⟨a,b,c⟩.
         two = compose_cells(loops("a", "a,b"), loops("b,c", "c"))
         for m in (two, compose_cells(loops("z", "y"), two), compose_cells(two, loops("w")),
-                  MooreMachine(one, one, two.states, two.delta, two.out)):
+                  MooreMachine(two.input, two.output, two.states, two.delta, two.out)):
             with pytest.raises(DuplicateName) as err:
                 machine_text(m)
             assert_same_collision(m, err.value)
@@ -322,6 +323,123 @@ class TestWriterOracle:
     def test_non_str_symbols_refused(self, tmp_path):
         # A number would load back as a string: refused like a tuple.
         assert_refused_on_save(random_moore(random.Random(3), INTS, BITS, 2), tmp_path)
+
+
+def surrogate_machine(where, text="\ud800x"):
+    """A one-state Moore machine holding text as its state name or as a
+    symbol of its input or output alphabet."""
+    inp = Alphabet("in", ("0", text) if where == "input" else ("0",))
+    outp = Alphabet("out", ("0", text) if where == "output" else ("0",))
+    e = text if where == "state" else "s"
+    return MooreMachine(inp, outp, (e,), {(e, a): e for a in inp.symbols}, {e: outp.symbols[-1]})
+
+
+class TestSurrogates:
+    """A lone surrogate has no UTF-8 form: a file can spell it as a JSON
+    escape and load it, but the writer refuses to write it back."""
+
+    @pytest.mark.parametrize("text", ["\ud800x", "\udfff", "a\ud83d\ude00"])
+    def test_state_named(self, text):
+        with pytest.raises(MachineFileError) as got:
+            serialize_machine(surrogate_machine("state", text))
+        assert str(got.value) == ("state %r holds a lone surrogate; a machine file is UTF-8 text"
+                                  % (text,))
+
+    @pytest.mark.parametrize("where, alphabet", [("input", "in"), ("output", "out")])
+    def test_symbol_named_with_its_alphabet(self, where, alphabet):
+        with pytest.raises(MachineFileError) as got:
+            serialize_machine(surrogate_machine(where))
+        assert str(got.value).startswith("symbol '\\ud800x' of alphabet %r " % alphabet)
+
+    def test_composite_state_named(self):
+        m = compose_cells(surrogate_machine("state"), surrogate_machine("state"))
+        with pytest.raises(MachineFileError) as got:
+            serialize_machine(m)
+        assert str(got.value).startswith("state ('\\ud800x', '\\ud800x') holds")
+
+    def test_escaped_surrogate_loads_but_is_not_written(self, par, tmp_path):
+        text = serialize_machine(par).replace('"q1"', '"\\ud800x"')
+        path = tmp_path / "s.machine"
+        path.write_text(text, encoding="utf-8")
+        m = load_machine(path)
+        assert m.states == ("q0", "\ud800x")
+        for write in (serialize_machine, lambda m: save_machine(m, path)):
+            with pytest.raises(MachineFileError):
+                write(m)
+        assert path.read_text(encoding="utf-8") == text
+
+    def test_refused_exactly_when_json_text_does_not_encode(self):
+        # The oracle's text is json.dumps' own; the writer refuses the
+        # machine exactly when that text has no UTF-8 form.
+        names = NAMES + ("\ud800", "x\udc80", "\ud83d\ude00")
+        rng = random.Random(41)
+        refused = 0
+        for _ in range(400):
+            mealy = rng.random() < 0.5
+            first = named_machine(rng, mealy, BITS, ODD, rng.randint(1, 3), names)
+            m = first if rng.random() < 0.5 else compose_cells(
+                named_machine(rng, mealy, ODD, BITS, rng.randint(1, 3), names), first)
+            try:
+                expected = machine_text(m)
+            except DuplicateName:
+                continue
+            try:
+                expected.encode("utf-8")
+            except UnicodeEncodeError:
+                with pytest.raises(MachineFileError, match="lone surrogate"):
+                    serialize_machine(m)
+                refused += 1
+                continue
+            assert serialize_machine(m) == expected
+        assert refused >= 100
+
+
+class TestSaveInPlace:
+    """save_machine rewrites the file in place: the bytes are exactly the
+    serialized text whatever the file held, and links are written through."""
+
+    @pytest.mark.parametrize("before, after", [(9, 1), (1, 9)], ids=["shorter", "longer"])
+    def test_overwrite(self, tmp_path, before, after):
+        rng = random.Random(before)
+        old, new = (random_mealy(rng, BITS, ODD, n) for n in (before, after))
+        path = tmp_path / "m.machine"
+        save_machine(old, path)
+        save_machine(new, path)
+        assert path.read_bytes() == serialize_machine(new).encode("utf-8")
+        assert load_machine(path) == new
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o000])
+    def test_new_file_mode_follows_the_umask(self, par, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            save_machine(par, tmp_path / "m.machine")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "m.machine").st_mode) == 0o666 & ~umask
+
+    def test_symlink_written_through(self, par, cpar, tmp_path):
+        target, link = tmp_path / "target.machine", tmp_path / "link.machine"
+        save_machine(compose_cells(par, par), target)
+        link.symlink_to(target)
+        save_machine(cpar, link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == serialize_machine(cpar).encode("utf-8")
+
+    def test_device_is_written_without_truncation(self, par):
+        save_machine(par, os.devnull)
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_moore(random.Random(3), INTS, BITS, 2),
+        lambda: compose_cells(loops("a", "a,b"), loops("b,c", "c")),
+        lambda: surrogate_machine("state"),
+    ], ids=["non-str-symbol", "colliding-names", "surrogate"])
+    def test_refused_save_keeps_the_file(self, par, tmp_path, make):
+        path = tmp_path / "m.machine"
+        save_machine(par, path)
+        before = path.read_bytes()
+        with pytest.raises(MachineError):
+            save_machine(make(), path)
+        assert path.read_bytes() == before
 
 
 # Names and symbols that json escapes or that the writer's own "%"
