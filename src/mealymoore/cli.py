@@ -384,6 +384,9 @@ def main(argv=None) -> int:
     except (MachineError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
+    except UnicodeEncodeError as err:  # a name with no form in the output's encoding
+        print("error: cannot print the result: %s" % err, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

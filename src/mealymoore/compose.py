@@ -8,7 +8,10 @@ Moore into Mealy machines: at each step the downstream machine consumes
 the letter that J(first) emits.  Whenever one factor is Moore, the
 composite output table is letter-independent and the result is returned
 as a MooreMachine.  ``compose_mealy``, ``compose_moore``, ``ltimes`` and
-``rtimes`` are the same cascade restricted to one pair of kinds.
+``rtimes`` are the same cascade restricted to one pair of kinds.  A
+composite is built from its factors alone: its index tables, like its
+state names, are built on first read (the kernel is ``core._cascade``),
+and ``compose_cells`` gives each factor its tables first.
 
 Composition is associative only up to the re-bracketing bijection
 returned by ``associator``.  Both law checks here are definitional (see
@@ -47,27 +50,16 @@ def compose_cells(second: Machine, first: Machine) -> Machine:
     and out((f,e), a) = out_J(second)(f, b).  When either factor is Moore
     this output ignores a, and the composite is a MooreMachine.
 
-    Built on the index form: the state (f, e) is f·|first| + e, and b,
-    an index into first's output symbols, is a letter index of second.
-    Second's targets are scaled by |first| once and cut into rows, one
-    per state f, and first's (target, emitted letter) cells are paired
-    once, so each composite cell is ``row[b] + t``: one lookup and one
-    addition, with no index arithmetic."""
+    The composite holds only its alphabets, its size and its factors:
+    its index tables are built by ``core._cascade`` on their first read,
+    as its state names are.  Each factor's tables are read here, so they
+    exist before the composite does, and building the composite's own
+    reads only tables already built, never recursing into a nesting."""
     _require_chain(second, first)
-    k2, n1 = len(second.input.symbols), first._n
-    o1, o2 = first._o, second._o
-    first_mealy, second_mealy = first._out_by_letter, second._out_by_letter
-    emit = o1 if first_mealy else [b for b in o1 for _ in first.input.symbols]  # b at e·k + a
-    cells = list(zip(first._d, emit))
-    rows = zip(*[iter([t * n1 for t in second._d])] * k2)  # (δ₂(f, b)·|first| for each b), per f
-    d = tuple([row[b] + t for row in rows for t, b in cells])
-    if second_mealy:  # out₂(f, b) with b = out₁(e, a), or out₁(e) when first is Moore
-        o = tuple([row[b] for row in zip(*[iter(o2)] * k2) for b in o1])
-    else:
-        o = tuple([o for o in o2 for _ in range(n1)])
-    kind = MealyMachine if first_mealy and second_mealy else MooreMachine
-    return kind._trusted({"input": first.input, "output": second.output, "_d": d, "_o": o,
-                          "_n": second._n * n1, "_factors": (second, first)})
+    second._d, first._d  # each factor's tables, built now if they are not yet
+    kind = MealyMachine if first._out_by_letter and second._out_by_letter else MooreMachine
+    return kind._trusted({"input": first.input, "output": second.output,
+                          "_n": second._n * first._n, "_factors": (second, first)})
 
 
 def _require_kinds(name, second, first, second_kind, first_kind):
@@ -131,14 +123,16 @@ class NotAnIso(KindMismatch):
 def associator(h: Machine, g: Machine, f: Machine) -> StateBijection:
     """The re-bracketing bijection (h⋄g)⋄f ≅ h⋄(g⋄f).
 
-    Forward direction: ((eh,eg),ef) ↦ (eh,(eg,ef)).  ``compose_cells`` is
-    associative on the index form, (eh·|g| + eg)·|f| + ef = eh·|g⋄f| +
-    (eg·|f| + ef), so h⋄(g⋄f) shares the tables of (h⋄g)⋄f with states named
-    by (h, g⋄f): both maps are the identity, inverse homomorphisms by definition.
+    Forward direction: ((eh,eg),ef) ↦ (eh,(eg,ef)).  Both bracketings are
+    built by ``compose_cells``, each with its own tables, built only when
+    something reads them.  The cascade is associative on the index form:
+    both give ((eh,eg),ef) the index (eh·|g| + eg)·|f| + ef = eh·|g⋄f| +
+    (eg·|f| + ef), and the same tables.  So both maps are the identity on
+    the index form, inverse homomorphisms by definition, and unchecked;
+    the tests compare the two table sets, built apart, and the oracle.
     """
     left = compose_cells(compose_cells(h, g), f)
-    right = type(left)._trusted({"input": f.input, "output": h.output, "_d": left._d, "_o": left._o,
-                                 "_n": left._n, "_factors": (h, compose_cells(g, f))})
+    right = compose_cells(h, compose_cells(g, f))
     same = tuple(range(left._n))
     return StateBijection._trusted({
         "source": left, "target": right,

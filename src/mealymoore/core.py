@@ -13,10 +13,12 @@ output-symbol indices, at ``i*k + a`` (Mealy) or at ``i`` (Moore).  The
 public constructor checks the named tables in the walk that builds the
 index form; a machine file's nested rows are checked in one walk of
 their own into the index form.  The library builds its own machines
-(composites, enumerated and random machines, D₀ and D₁ images, machine
-files) in index form, so every machine starts with it; their named
-tables are built on first access and kept.  The named ``delta`` and
-``out`` are read-only mappings, so the two forms cannot drift apart.
+(enumerated and random machines, D₀ and D₁ images, machine files) in
+index form, and their named tables are built on first access and kept.
+A composite holds only its factors: its index tables, like its state
+names, are built from theirs on first read (see ``_Machine``).  The
+named ``delta`` and ``out`` are read-only mappings, so the two forms
+cannot drift apart.
 
 All values are immutable after construction and all operations are pure.
 A value is built in one of two ways (see ``_Value``): a public
@@ -210,16 +212,19 @@ class _Machine(_Value):
     The public constructor checks the named tables in the walk that
     builds the index form, so a machine leaves it with both, and keeps
     read-only copies of them: neither the caller's dicts nor writes
-    through ``delta`` or ``out`` can change a validated machine.  Every
-    machine the library builds starts in index form, from tables it
-    built total and well-typed itself: ``_trusted`` keeps a new dict of
-    ``input``, ``output``, the index form ``_d``, ``_o`` and ``_n`` (the
-    state count) and the state names, ``states``, a tuple, or
-    ``_factors``, the pair (second, first) of a composite, whose state
-    (f, e) has index f·|first| + e.  Its named view, built on first
-    access, is read-only too, so on every machine the two forms agree,
-    and no machine sharing a table with another can be changed through
-    it."""
+    through ``delta`` or ``out`` can change a validated machine.  A
+    machine the library builds is ``_trusted`` from a new dict of
+    ``input``, ``output``, ``_n`` (the state count) and either the state
+    names ``states``, a tuple, with the index form ``_d`` and ``_o`` it
+    built total and well-typed itself, or ``_factors``, the pair
+    (second, first) of a composite, whose state (f, e) has index
+    f·|first| + e.  A composite's ``_d`` and ``_o`` are built together
+    by ``_cascade`` on the first read of either, from its factors'
+    tables, which ``compose_cells`` builds before the composite exists:
+    so no table build recurses, however deep the nesting.  The named
+    view, built on first access, is read-only too, so on every machine
+    the two forms agree, and no machine sharing a table with another can
+    be changed through it."""
 
     _fields = ("input", "output", "states", "delta", "out")
 
@@ -256,6 +261,17 @@ class _Machine(_Value):
                 else self.states)
         names = self.output.symbols
         return MappingProxyType(dict(zip(keys, [names[b] for b in self._o])))
+
+    @_lazy
+    def _d(self):
+        d, o = _cascade(*self._factors)
+        object.__setattr__(self, "_o", o)
+        return d
+
+    @_lazy
+    def _o(self):
+        self._d  # builds both tables, _o among them
+        return self.__dict__["_o"]
 
     @_lazy
     def states(self):
@@ -315,6 +331,30 @@ class MooreMachine(_Machine):
 
 
 Machine = Union[MealyMachine, MooreMachine]
+
+
+def _cascade(second: Machine, first: Machine) -> tuple:
+    """The index tables (_d, _o) of the cascade second⋄first, read through J.
+
+    With b = out_J(first)(e, a): delta((f,e), a) = (delta₂(f, b), delta₁(e, a))
+    and out((f,e), a) = out_J(second)(f, b), which ignores a when either
+    factor is Moore.  The state (f, e) is f·|first| + e, and b, an index
+    into first's output symbols, is a letter index of second.  Second's
+    targets are scaled by |first| once and cut into rows, one per state
+    f, and first's (target, emitted letter) cells are paired once, so
+    each composite cell is ``row[b] + t``: one lookup and one addition,
+    with no index arithmetic."""
+    k2, n1 = len(second.input.symbols), first._n
+    o1, o2 = first._o, second._o
+    emit = o1 if first._out_by_letter else [b for b in o1 for _ in first.input.symbols]  # b at e·k + a
+    cells = list(zip(first._d, emit))
+    rows = zip(*[iter([t * n1 for t in second._d])] * k2)  # (δ₂(f, b)·|first| for each b), per f
+    d = tuple([row[b] + t for row in rows for t, b in cells])
+    if second._out_by_letter:  # out₂(f, b) with b = out₁(e, a), or out₁(e) when first is Moore
+        o = tuple([row[b] for row in zip(*[iter(o2)] * k2) for b in o1])
+    else:
+        o = tuple([o for o in o2 for _ in range(n1)])
+    return d, o
 
 
 def _raw_alphabet(name, symbols):

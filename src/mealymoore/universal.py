@@ -128,6 +128,20 @@ def is_soft(m: MooreMachine) -> bool:
     return all(o[t] == o[x // k] for x, t in enumerate(d))
 
 
+def _then(first, second) -> list:
+    """The relation ``first`` followed by ``second``, both given as one
+    bitset row per state: bit x of row e says that e relates to x."""
+    rows = []
+    for row in first:
+        reach = 0
+        while row:
+            low = row & -row
+            reach |= second[low.bit_length() - 1]
+            row ^= low
+        rows.append(reach)
+    return rows
+
+
 def is_n_soft(m: MooreMachine, n: int) -> bool:
     """True iff the output map is invariant under n transition steps,
     for every word of length exactly n.
@@ -137,19 +151,32 @@ def is_n_soft(m: MooreMachine, n: int) -> bool:
     successors: the two-state period-2 oscillator over one letter, whose
     states emit different outputs, is 2-soft but neither 1- nor 3-soft.
     Raises KindMismatch on a Mealy machine.
+
+    Decided on the n-th power of the one-step relation, each state's
+    successors as a bitset row: the power is taken by repeated squaring,
+    so for N states it costs O(N²·log n) ORs of N-bit rows, and the
+    machine is n-soft iff no row reaches a state whose output differs
+    from its own.
     """
     _require_kind(m, MooreMachine, "is_n_soft")
     if n < 1:
         raise MachineError("n must be ≥ 1")
     k, d, o = len(m.input.symbols), m._d, m._o
-    letters = range(k)
-    for e, want in enumerate(o):
-        layer = {e}
-        for _ in range(n):
-            layer = {d[x * k + a] for x in layer for a in letters}
-        if {o[x] for x in layer} != {want}:
-            return False
-    return True
+    step = [0] * m._n  # the one-step relation
+    for x, t in enumerate(d):
+        step[x // k] |= 1 << t
+    power = None
+    while True:
+        if n & 1:
+            power = step if power is None else _then(power, step)
+        n >>= 1
+        if not n:
+            break
+        step = _then(step, step)
+    emitting = {}  # output index -> the bitset of the states that emit it
+    for e, b in enumerate(o):
+        emitting[b] = emitting.get(b, 0) | 1 << e
+    return not any(row & ~emitting[b] for row, b in zip(power, o))
 
 
 class SoftnessReport(_Value):

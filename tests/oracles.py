@@ -421,9 +421,9 @@ def rebracketed(bij, h, g, f):
     machine built from ``cascade(g, f)``.  Against h⋄(g⋄f) composed
     afresh, the forward map, through the public ``StateMap``, must be a
     homomorphism, and the target must serialize to the same text and
-    trace alike from every state.  The two bracketings share their
-    tables, so this, not ``is_homomorphism(bij.forward)``, tests the
-    shared numbering."""
+    trace alike from every state.  The maps are the identity on the
+    index form, so this, and not ``is_homomorphism(bij.forward)`` alone,
+    tests that both bracketings number the states alike."""
     target = bij.target
     if tables(target) != cascade(h, cascade_machine(g, f)):
         return False

@@ -360,6 +360,44 @@ def test_surrogate_state_validates_but_is_not_written(files, capsys):
     assert capsys.readouterr() == ("", error.replace("'q0'", "'0'"))
 
 
+def _strict_utf8_stdout(monkeypatch):
+    """Send stdout to a strict UTF-8 stream, as a UTF-8 terminal has; the
+    bytes written are returned at the end."""
+    stream = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict", write_through=True)
+    monkeypatch.setattr("sys.stdout", stream)
+    return stream.buffer
+
+
+def test_homs_on_a_surrogate_state_is_bad_input(files, capsys, monkeypatch):
+    # par with its state q1 written as the JSON escape \ud800x: it
+    # validates, but a hom line naming that state cannot be printed.
+    path = files["dir"] / "surrogate.machine"
+    path.write_text(Path(files["par"]).read_text(encoding="utf-8").replace('"q1"', '"\\ud800x"'),
+                    encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    printed = _strict_utf8_stdout(monkeypatch)
+    assert main(["homs", str(path), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert printed.getvalue().decode("utf-8").startswith("homs: 1\n")
+
+
+def test_run_on_a_surrogate_output_symbol_is_bad_input(files, capsys, monkeypatch):
+    # cpar with its output symbol 1 written as the JSON escape \ud800y.
+    doc = _cpar_doc()
+    doc["output"] = ["0", "\ud800y"]
+    doc["out"]["q1"] = "\ud800y"
+    path = files["dir"] / "surrogate.machine"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    _strict_utf8_stdout(monkeypatch)
+    assert main(["run", str(path), "--start", "q0", "--word", "101"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_written_files_match_the_oracle(tmp_path, capsys):
     # compose -o into a 48-state composite, compose that file again into
     # nested names, then validate and moorify the result: every file the

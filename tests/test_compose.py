@@ -22,9 +22,11 @@ from mealymoore import (
     d_iter,
     decapitate,
     embed_j,
+    enumerate_homs,
     identity_cell,
     identity_map,
     is_homomorphism,
+    is_soft,
     ltimes,
     moorify,
     rtimes,
@@ -117,9 +119,9 @@ class TestMixedComposition:
 
 
 class TestAssociator:
-    # The two bracketings share their tables, so is_homomorphism on the
-    # returned maps compares a table with itself; ``rebracketed`` checks
-    # the target against an independently built h⋄(g⋄f).
+    # The two bracketings are composed apart, so is_homomorphism on the
+    # returned maps compares two table sets; ``rebracketed`` checks the
+    # target against an independently built h⋄(g⋄f).
     def test_singletons(self):
         one = Alphabet("one", ("a",))
         m = MooreMachine(one, one, ("s",), {("s", "a"): "s"}, {"s": "a"})
@@ -149,6 +151,43 @@ class TestAssociator:
         assert is_homomorphism(bij.forward)
         assert is_homomorphism(bij.backward)
         assert rebracketed(bij, u2, par, embed_j(cpar))
+
+
+class TestLazyTables:
+    """A composite builds its index tables on first read, from factors
+    whose tables ``compose_cells`` built first."""
+
+    def test_associator_builds_no_composite_table(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            f, g, h = (random_cell(rng, Alphabet(inp, tuple(inp)), Alphabet(outp, tuple(outp)), 4)
+                       for inp, outp in zip(_TRIPLES, _TRIPLES[1:]))
+            iso = associator(h, g, f)
+            for m in (iso.source, iso.target):
+                assert "_d" not in m.__dict__ and "_o" not in m.__dict__
+            assert iso.source._d == iso.target._d and iso.source._o == iso.target._o
+            for m, oracle in ((iso.source, cascade_machine(cascade_machine(h, g), f)),
+                              (iso.target, cascade_machine(h, cascade_machine(g, f)))):
+                assert (m._d, m._o) == (oracle._d, oracle._o)
+                assert tables(m) == tables(oracle)
+            assert is_homomorphism(iso.forward) and is_homomorphism(iso.backward)
+
+    @pytest.mark.parametrize("table", ["_d", "_o"])
+    def test_either_read_builds_both(self, par, cpar, table):
+        m = compose_cells(par, compose_cells(cpar, par))
+        getattr(m, table)
+        assert "_d" in m.__dict__ and "_o" in m.__dict__
+        assert tables(m) == cascade(par, cascade_machine(cpar, par))
+
+    def test_deep_left_nesting_reads_without_recursion(self, bits):
+        cell = MooreMachine(bits, bits, ("s",), {("s", "0"): "s", ("s", "1"): "s"}, {"s": "0"})
+        m = cell
+        for _ in range(2000):
+            m = compose_cells(m, cell)
+        assert "_d" not in m.__dict__
+        assert is_soft(m)
+        assert [phi._img for phi in enumerate_homs(m, m).homs] == [(0,)]
+        assert is_homomorphism(identity_map(m))
 
 
 class TestStateBijection:

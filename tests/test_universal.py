@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -26,7 +27,7 @@ from mealymoore import (
     universal_u,
     UnknownSymbol,
 )
-from mealymoore.generate import all_moore_up_to, random_mealy
+from mealymoore.generate import all_moore_up_to, random_mealy, random_moore
 
 from conftest import BITS
 from oracles import fold_state, fold_trace, n_soft, pinfty_carrier, words_up_to
@@ -227,6 +228,40 @@ class TestSoftness:
             for e in m.states:
                 for w in words_up_to(bits, 4):
                     assert fold_trace(m, e, w) == (m.out[e],) * (len(w) + 1)
+
+    def test_is_n_soft_matches_word_exhaustion_to_twelve(self):
+        # Over the Moore machines of at most 3 states, n = 1..12 passes the
+        # relation power's preindex (at most (N−1)² + 1 = 5) and then a
+        # whole period (dividing lcm(1, 2, 3) = 6).  Word exhaustion over
+        # two letters costs 2ⁿ words per state, so there the machines whose
+        # states all emit one symbol, n-soft at every n, are left to the
+        # test below, and the 3-state machines are a seeded sample of 60.
+        rng = random.Random(12)
+        for k, outputs in ((1, 1), (1, 2), (2, 2)):
+            a, b = Alphabet("A", ("0", "1")[:k]), Alphabet("B", ("0", "1")[:outputs])
+            machines = list(all_moore_up_to(a, b, 3))
+            if k == 2:
+                machines = [m for m in machines if len(set(m._o)) > 1]
+                small = [m for m in machines if len(m.states) < 3]
+                machines = small + rng.sample(machines[len(small):], 60)
+            for m in machines:
+                assert [is_n_soft(m, n) for n in range(1, 13)] == [
+                    n_soft(m, n) for n in range(1, 13)], (m.delta, m.out)
+
+    def test_is_n_soft_at_a_billion_steps(self):
+        # Forty states over two letters into one output symbol: n-soft at
+        # every n, decided by about 30 squarings, not 10⁹ steps.
+        rng = random.Random(40)
+        m = random_moore(rng, BITS, Alphabet("one", ("0",)), 40)
+        start = time.perf_counter()
+        assert is_n_soft(m, 10**9)
+        assert time.perf_counter() - start < 2.0
+        # A one-letter 40-cycle whose state 0 alone emits 1 is n-soft
+        # exactly when 40 divides n.
+        one, states = Alphabet("one", ("a",)), tuple(range(40))
+        cycle = MooreMachine(one, BITS, states, {(e, "a"): (e + 1) % 40 for e in states},
+                             {e: "1" if e == 0 else "0" for e in states})
+        assert is_n_soft(cycle, 10**9) and not is_n_soft(cycle, 10**9 + 1)
 
     def test_softness_level_report(self, u2, p2):
         assert softness_level(p2, 3).level == 1
