@@ -9,9 +9,10 @@ the letter that J(first) emits.  Whenever one factor is Moore, the
 composite output table is letter-independent and the result is returned
 as a MooreMachine.  ``compose_mealy``, ``compose_moore``, ``ltimes`` and
 ``rtimes`` are the same cascade restricted to one pair of kinds.  A
-composite is built from its factors alone: its index tables, like its
-state names, are built on first read (the kernel is ``core._cascade``),
-and ``compose_cells`` gives each factor its tables first.
+composite is built from its factors alone, and composing builds no
+table: a composite's index tables, like its state names, are built on
+first read (the kernel is ``core._cascade``), after those of every
+composite below it that has none yet, innermost first.
 
 Composition is associative only up to the re-bracketing bijection
 returned by ``associator``.  Both law checks here are definitional (see
@@ -50,13 +51,13 @@ def compose_cells(second: Machine, first: Machine) -> Machine:
     and out((f,e), a) = out_J(second)(f, b).  When either factor is Moore
     this output ignores a, and the composite is a MooreMachine.
 
-    The composite holds only its alphabets, its size and its factors:
-    its index tables are built by ``core._cascade`` on their first read,
-    as its state names are.  Each factor's tables are read here, so they
-    exist before the composite does, and building the composite's own
-    reads only tables already built, never recursing into a nesting."""
+    The composite holds only its alphabets, its size and its factors,
+    and no table is built here, neither the composite's nor a factor's:
+    the first read of its index tables builds them (``core._cascade``),
+    and first those of every composite below it that has none yet, in a
+    loop over the nesting that never recurses.  Its state names are
+    built on first read the same way."""
     _require_chain(second, first)
-    second._d, first._d  # each factor's tables, built now if they are not yet
     kind = MealyMachine if first._out_by_letter and second._out_by_letter else MooreMachine
     return kind._trusted({"input": first.input, "output": second.output,
                           "_n": second._n * first._n, "_factors": (second, first)})

@@ -16,7 +16,8 @@ their own into the index form.  The library builds its own machines
 (enumerated and random machines, D₀ and D₁ images, machine files) in
 index form, and their named tables are built on first access and kept.
 A composite holds only its factors: its index tables, like its state
-names, are built from theirs on first read (see ``_Machine``).  The
+names, are built from theirs on first read, a nesting's innermost
+first, in a loop (see ``_Machine``).  The
 named ``delta`` and ``out`` are read-only mappings, so the two forms
 cannot drift apart.
 
@@ -220,11 +221,14 @@ class _Machine(_Value):
     (second, first) of a composite, whose state (f, e) has index
     f·|first| + e.  A composite's ``_d`` and ``_o`` are built together
     by ``_cascade`` on the first read of either, from its factors'
-    tables, which ``compose_cells`` builds before the composite exists:
-    so no table build recurses, however deep the nesting.  The named
-    view, built on first access, is read-only too, so on every machine
-    the two forms agree, and no machine sharing a table with another can
-    be changed through it."""
+    tables; composing builds none.  Before that read builds them,
+    ``_build_below`` builds the tables of every composite below that has
+    none yet, innermost first, each once, so no table build recurses,
+    however deep or shared the nesting; a composite's ``states`` are
+    built the same way, and ``_index`` reads a nested pair in a loop.
+    The named view, built on first access, is read-only too, so on every
+    machine the two forms agree, and no machine sharing a table with
+    another can be changed through it."""
 
     _fields = ("input", "output", "states", "delta", "out")
 
@@ -264,6 +268,7 @@ class _Machine(_Value):
 
     @_lazy
     def _d(self):
+        _build_below(self, "_d")
         d, o = _cascade(*self._factors)
         object.__setattr__(self, "_o", o)
         return d
@@ -275,6 +280,7 @@ class _Machine(_Value):
 
     @_lazy
     def states(self):
+        _build_below(self, "states")
         second, first = self._factors
         return tuple(itertools.product(second.states, first.states))
 
@@ -293,14 +299,23 @@ class _Machine(_Value):
                 return self._pos[s]
             except (KeyError, TypeError):  # TypeError: an unhashable name
                 return None
-        if not isinstance(s, tuple) or len(s) != 2:  # a namedtuple pair names a state too
-            return None
-        second, first = factors
-        f = second._index(s[0])
-        if f is None:
-            return None
-        e = first._index(s[1])
-        return None if e is None else f * first._n + e
+        # The index of (f, e) is f·|first| + e, so a state's index is the
+        # sum of its plain parts' indices, each scaled by the product of
+        # the sizes of the factors to its right: a loop over the nesting.
+        index, todo = 0, [(factors, s, 1)]
+        while todo:
+            (second, first), s, scale = todo.pop()
+            if not isinstance(s, tuple) or len(s) != 2:  # a namedtuple pair names a state too
+                return None
+            for m, part, at in ((second, s[0], scale * first._n), (first, s[1], scale)):
+                if m._factors is None:
+                    try:
+                        index += m._pos[part] * at
+                    except (KeyError, TypeError):  # TypeError: an unhashable name
+                        return None
+                else:
+                    todo.append((m._factors, part, at))
+        return index
 
     def _names(self):
         """The state fields, for a machine on the same states."""
@@ -331,6 +346,40 @@ class MooreMachine(_Machine):
 
 
 Machine = Union[MealyMachine, MooreMachine]
+
+
+def _nesting(m: Machine, built=None) -> list:
+    """m and the machines in its nesting, each once, every factor before
+    the composites it is a factor of, so m comes last.  A factor whose
+    instance dict holds the field ``built`` is left out, with all below
+    it.  A loop, not a recursion, and a factor shared by several
+    composites is visited once, so a nesting costs time linear in its
+    distinct machines, however deep or shared it is."""
+    order, seen, todo = [], {id(m)}, [(m, iter(m._factors or ()))]
+    while todo:
+        node, factors = todo[-1]
+        for x in factors:
+            if id(x) not in seen and built not in x.__dict__:
+                seen.add(id(x))
+                todo.append((x, iter(x._factors or ())))
+                break
+        else:
+            todo.pop()
+            order.append(node)
+    return order
+
+
+def _build_below(m: Machine, field: str) -> None:
+    """Build the lazy ``field`` of every composite below the composite m
+    that lacks it, innermost first, so that building m's own reads only
+    fields already built and no build recurses.  When both factors hold
+    it already, as they do for a composite of plain machines, this is
+    two dict lookups."""
+    second, first = m._factors
+    if field in second.__dict__ and field in first.__dict__:
+        return
+    for node in _nesting(m, field)[:-1]:
+        getattr(node, field)
 
 
 def _cascade(second: Machine, first: Machine) -> tuple:

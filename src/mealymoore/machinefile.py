@@ -37,6 +37,7 @@ from .core import (
     Machine,
     MachineError,
     MealyMachine,
+    _nesting,
     validate_mealy,
     validate_moore,
 )
@@ -118,12 +119,19 @@ def render_state(s: Union[str, tuple]) -> str:
 
 def _names(m: Machine) -> list:
     """The rendered state names of m in index order; a composite's are
-    built from its factors' rendered names, each rendered once."""
-    factors = m._factors
-    if factors is None:
+    built from its factors' rendered names, each machine's once, in a
+    loop over its nesting, innermost first."""
+    if m._factors is None:
         return list(map(render_state, m.states))
-    first = _names(factors[1])
-    return ["⟨%s,%s⟩" % (f, e) for f in _names(factors[0]) for e in first]
+    names = {}
+    for node in _nesting(m):
+        factors = node._factors
+        if factors is None:
+            names[id(node)] = list(map(render_state, node.states))
+        else:
+            first = names[id(factors[1])]
+            names[id(node)] = ["⟨%s,%s⟩" % (f, e) for f in names[id(factors[0])] for e in first]
+    return names[id(m)]
 
 
 def _unencodable(m: Machine, names: list) -> str:

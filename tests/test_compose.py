@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import time
 
 import pytest
 
@@ -31,7 +33,9 @@ from mealymoore import (
     moorify,
     rtimes,
     run,
+    serialize_machine,
     trace,
+    ucompose,
     universal_p,
 )
 from mealymoore.compose import NotAnIso
@@ -154,8 +158,9 @@ class TestAssociator:
 
 
 class TestLazyTables:
-    """A composite builds its index tables on first read, from factors
-    whose tables ``compose_cells`` built first."""
+    """Composing builds no table: a composite's index tables are built
+    on first read, after those of every composite below it that has none
+    yet, innermost first, in a loop over the nesting."""
 
     def test_associator_builds_no_composite_table(self):
         rng = random.Random(41)
@@ -179,6 +184,60 @@ class TestLazyTables:
         assert "_d" in m.__dict__ and "_o" in m.__dict__
         assert tables(m) == cascade(par, cascade_machine(cpar, par))
 
+    def test_associator_builds_no_inner_table(self):
+        rng = random.Random(44)
+        for _ in range(30):
+            f, g, h = (random_cell(rng, Alphabet(inp, tuple(inp)), Alphabet(outp, tuple(outp)), 4)
+                       for inp, outp in zip(_TRIPLES, _TRIPLES[1:]))
+            iso = associator(h, g, f)
+            for m in (iso.source._factors[0], iso.target._factors[1]):  # h⋄g and g⋄f
+                assert "_d" not in m.__dict__ and "_o" not in m.__dict__
+
+    def test_ucompose_chain_and_its_states_build_no_table(self, bits):
+        rng = random.Random(44)
+        f, g, h, k = (random_moore(rng, bits, bits, n) for n in (2, 3, 2, 3))
+        c = ucompose(k, ucompose(h, ucompose(g, f)))
+        assert len(c.states) == 36
+        composites = [c, c._factors[1], c._factors[1]._factors[1]]  # k⋄(h⋄(g⋄f)), h⋄(g⋄f), g⋄f
+        for m in composites:
+            assert m._factors is not None
+            assert "_d" not in m.__dict__ and "_o" not in m.__dict__
+
+    def test_one_outer_read_builds_every_inner_table(self):
+        def composites(m):  # the composites of the nesting, m first
+            return [m, *composites(m._factors[0]), *composites(m._factors[1])] if m._factors else []
+
+        def rebuilt(m):  # the same nesting, composed by the oracle
+            return cascade_machine(*map(rebuilt, m._factors)) if m._factors else m
+
+        rng = random.Random(45)
+        chain = _TRIPLES + ("ab",)
+        for _ in range(20):
+            e, f, g, h = (random_cell(rng, Alphabet(inp, tuple(inp)), Alphabet(outp, tuple(outp)), 3)
+                          for inp, outp in zip(chain, chain[1:]))
+            for m in (compose_cells(h, compose_cells(g, compose_cells(f, e))),
+                      compose_cells(compose_cells(compose_cells(h, g), f), e),
+                      compose_cells(compose_cells(h, g), compose_cells(f, e))):
+                m._o
+                for x in composites(m):
+                    assert "_d" in x.__dict__ and "_o" in x.__dict__
+                    oracle = rebuilt(x)
+                    assert (x._d, x._o) == (oracle._d, oracle._o)
+                    assert tables(x) == tables(oracle)
+
+    def test_shared_factors_build_in_linear_time(self, bits):
+        # x ← x⋄x sixty times: 61 distinct machines, 2⁶⁰ paths from the top.
+        cell = MooreMachine(bits, bits, ("s",), {("s", "0"): "s", ("s", "1"): "s"}, {"s": "1"})
+        m = cell
+        for _ in range(60):
+            m = compose_cells(m, m)
+        started = time.perf_counter()
+        assert is_soft(m)
+        assert [phi._img for phi in enumerate_homs(m, m).homs] == [(0,)]
+        assert is_homomorphism(identity_map(m))
+        assert time.perf_counter() - started < 1.0
+        assert (m._d, m._o) == ((0, 0), (1,))
+
     def test_deep_left_nesting_reads_without_recursion(self, bits):
         cell = MooreMachine(bits, bits, ("s",), {("s", "0"): "s", ("s", "1"): "s"}, {"s": "0"})
         m = cell
@@ -188,6 +247,13 @@ class TestLazyTables:
         assert is_soft(m)
         assert [phi._img for phi in enumerate_homs(m, m).homs] == [(0,)]
         assert is_homomorphism(identity_map(m))
+        (s,) = m.states
+        assert m.delta == {(s, "0"): s, (s, "1"): s} and m.out == {s: "0"}
+        assert trace(PointedMachine(m, s), "01") == ("0", "0", "0")
+        assert StateMap(m, m, {s: s})._img == (0,)
+        text = serialize_machine(m)
+        name = "⟨" * 2000 + "s" + ",s⟩" * 2000
+        assert json.loads(text)["states"] == [name]
 
 
 class TestStateBijection:

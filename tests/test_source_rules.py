@@ -1,7 +1,10 @@
 """Rules over the source text itself, read with the standard library's
-``ast`` alone."""
+``ast`` alone, and over what importing the CLI loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,3 +67,15 @@ def test_every_private_name_is_referred_to():
                  if name.startswith("_") and not name.startswith("__") and name != "_"
                  and name not in used)
     assert not bad, "private names nothing in src/ refers to:\n" + "\n".join(bad)
+
+
+def test_cli_import_loads_no_dataclasses():
+    # Every CLI request imports mealymoore.cli; dataclasses and the
+    # inspect module it pulls in would add about 10 ms to each one.  A
+    # fresh interpreter imports it, as pytest itself loads dataclasses.
+    probe = ('import sys, mealymoore.cli; '
+             'print(" ".join(sorted({"dataclasses", "inspect"} & set(sys.modules))))')
+    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout.split() == [], "mealymoore.cli loads " + done.stdout
