@@ -225,10 +225,11 @@ class _Machine(_Value):
     ``_build_below`` builds the tables of every composite below that has
     none yet, innermost first, each once, so no table build recurses,
     however deep or shared the nesting; a composite's ``states`` are
-    built the same way, and ``_index`` reads a nested pair in a loop.
-    The named view, built on first access, is read-only too, so on every
-    machine the two forms agree, and no machine sharing a table with
-    another can be changed through it."""
+    built the same way, ``_index`` reads a nested pair in a loop, and
+    ``==`` compares two composites' states by their factors, in a loop
+    (``_same_states``).  The named view, built on first access, is
+    read-only too, so on every machine the two forms agree, and no
+    machine sharing a table with another can be changed through it."""
 
     _fields = ("input", "output", "states", "delta", "out")
 
@@ -330,7 +331,7 @@ class _Machine(_Value):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.input == other.input and self.output == other.output
-                and self.states == other.states and self._d == other._d and self._o == other._o)
+                and _same_states(self, other) and self._d == other._d and self._o == other._o)
 
 
 class MealyMachine(_Machine):
@@ -367,6 +368,27 @@ def _nesting(m: Machine, built=None) -> list:
             todo.pop()
             order.append(node)
     return order
+
+
+def _same_states(m: Machine, n: Machine) -> bool:
+    """m.states == n.states, with no nested state tuple built or compared
+    where both are composites: the product of two duplicate-free,
+    non-empty state tuples is equal to another exactly when their
+    factors' tuples are, so a pair of composites is decided by its pairs
+    of factors, in a loop over both nestings, each pair once.  Where one
+    side of a pair is a plain machine, the state tuples are compared."""
+    todo, seen = [(m, n)], set()
+    while todo:
+        m, n = todo.pop()
+        if m is n or (id(m), id(n)) in seen:
+            continue
+        seen.add((id(m), id(n)))
+        if m._factors is None or n._factors is None:
+            if m.states != n.states:
+                return False
+        else:
+            todo += zip(m._factors, n._factors)
+    return True
 
 
 def _build_below(m: Machine, field: str) -> None:

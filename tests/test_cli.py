@@ -4,6 +4,7 @@ import json
 import os
 import random
 import shlex
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mealymoore import (
     Alphabet,
+    MealyMachine,
     MooreMachine,
     __version__,
     cli,
@@ -85,10 +87,11 @@ class TestValidate:
 
 
 DEMO_MACHINES = Path(__file__).resolve().parent.parent / "demos" / "machines"
+DEMO_FILES = sorted(DEMO_MACHINES.glob("*.machine"))
 
 
-def _cpar_doc():
-    return json.loads((DEMO_MACHINES / "cpar.machine").read_text(encoding="utf-8"))
+def _demo_doc(name="cpar"):
+    return json.loads((DEMO_MACHINES / ("%s.machine" % name)).read_text(encoding="utf-8"))
 
 
 def _at(doc, path):
@@ -103,8 +106,13 @@ def _with(doc, path, value):
 
 
 BAD_FILES = {
-    "list-delta-target": json.dumps(_with(_cpar_doc(), ("delta", "q0", "0"), ["q0"])).encode(),
-    "list-state-name": json.dumps(_with(_cpar_doc(), ("states", 0), ["q0"])).encode(),
+    "list-delta-target": json.dumps(_with(_demo_doc(), ("delta", "q0", "0"), ["q0"])).encode(),
+    "list-state-name": json.dumps(_with(_demo_doc(), ("states", 0), ["q0"])).encode(),
+    # par with its q0 delta row keyed by the undeclared letter 2 in place of 1.
+    "undeclared-letter": json.dumps(
+        _with(_demo_doc("par"), ("delta", "q0"), {"0": "q0", "2": "q1"})).encode(),
+    # Only the JSON integer 1 is version 1.
+    "version-true": json.dumps(_with(_demo_doc("par"), ("version",), True)).encode(),
     "not-utf8": b'{"version": 1, "kind": "moore\xff"}',
     "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
 }
@@ -135,7 +143,7 @@ def test_kind_error_names_the_operation(files, capsys, argv):
 def _symbol_doc(symbol):
     """cpar with its input letter "0" replaced by ``symbol`` and its delta
     rows keyed by str(symbol), as a reader applying str() would load it."""
-    doc = _cpar_doc()
+    doc = _demo_doc()
     doc["input"][0] = symbol
     for row in doc["delta"].values():
         row[str(symbol)] = row.pop("0")
@@ -166,7 +174,7 @@ def test_huge_integer_is_bad_input(tmp_path, capsys):
 
 def _with_delta_target(text):
     """The cpar document with the JSON ``text`` as one delta target."""
-    doc = json.dumps(_with(_cpar_doc(), ("delta", "q0", "0"), "HOLE"))
+    doc = json.dumps(_with(_demo_doc(), ("delta", "q0", "0"), "HOLE"))
     return doc.replace('"HOLE"', text).encode()
 
 
@@ -186,6 +194,13 @@ def test_huge_delta_target_gives_short_error(tmp_path, capsys, command, name):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "delta target" in err
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("path", DEMO_FILES, ids=lambda p: p.stem)
+def test_demo_machine_validates_and_is_written_back_byte_for_byte(path, capsys):
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("valid: ")
+    assert serialize_machine(load_machine(path)).encode("utf-8") == path.read_bytes()
 
 
 def _from_depth(extra, call):
@@ -214,48 +229,103 @@ def _nodes(node, path=()):
             yield from _nodes(child, path + (key,))
 
 
+# What a fuzzed file renames a state or symbol to.
+ODD_NAMES = ["\ud800x", "", " ", "a,b", "-x", "⟨a,b⟩", "0"]
+
+
+def _renamed(node, old, new):
+    """The JSON document node with every string equal to ``old``, key or
+    value, replaced by ``new``."""
+    if isinstance(node, dict):
+        return {(new if k == old else k): _renamed(v, old, new) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_renamed(v, old, new) for v in node]
+    return new if node == old else node
+
+
 @st.composite
 def mutated_machine_texts(draw):
-    """A demo machine document with one to three of: a value replaced by
-    a list, an int or an object, a key or element dropped, the text cut."""
-    path = draw(st.sampled_from(sorted(DEMO_MACHINES.glob("*.machine"))))
+    """A demo machine document with, half the time, one state or symbol
+    renamed everywhere to one of ODD_NAMES, and otherwise one to three
+    of: a value replaced by a list, an int or an object, a key or element
+    dropped, the text cut.  With it a start state, a word and a second
+    demo file."""
+    path = draw(st.sampled_from(DEMO_FILES))
     doc = json.loads(path.read_text(encoding="utf-8"))
-    states = list(doc["states"])
-    for _ in range(draw(st.integers(1, 3))):
-        target = draw(st.sampled_from(list(_nodes(doc))))
-        how = draw(st.sampled_from(["list", "int", "object"] + (["drop"] if target else [])))
-        old = _at(doc, target)
-        new = {"list": [old], "int": draw(st.integers(-2, 2)), "object": {"x": old}}.get(how)
-        if not target:
-            doc = new
-        elif how == "drop":
-            del _at(doc, target[:-1])[target[-1]]
-        else:
-            _with(doc, target, new)
-    text = json.dumps(doc)
+    names = sorted({*doc["states"], *doc["input"], *doc["output"]})
+    start = draw(st.sampled_from(list(doc["states"]) + ["q0"]))
     if draw(st.booleans()):
-        text = text[:draw(st.integers(0, len(text)))]
-    start = draw(st.sampled_from(states + ["q0"]))
-    return text, start, draw(st.sampled_from(["", "1", "01", "101"]))
+        old, new = draw(st.sampled_from(names)), draw(st.sampled_from(ODD_NAMES))
+        doc, start = _renamed(doc, old, new), new if start == old else start
+        text = json.dumps(doc)
+    else:
+        for _ in range(draw(st.integers(1, 3))):
+            target = draw(st.sampled_from(list(_nodes(doc))))
+            how = draw(st.sampled_from(["list", "int", "object"] + (["drop"] if target else [])))
+            old = _at(doc, target)
+            new = {"list": [old], "int": draw(st.integers(-2, 2)), "object": {"x": old}}.get(how)
+            if not target:
+                doc = new
+            elif how == "drop":
+                del _at(doc, target[:-1])[target[-1]]
+            else:
+                _with(doc, target, new)
+        text = json.dumps(doc)
+        if draw(st.booleans()):
+            text = text[:draw(st.integers(0, len(text)))]
+    other = str(draw(st.sampled_from(DEMO_FILES)))
+    return text, start, draw(st.sampled_from(["", "1", "01", "101"])), other, draw(st.booleans())
 
 
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(mutated_machine_texts())
-def test_mutated_files_never_crash(case):
-    # The exit-code contract: 0 or 1 for a verdict, 2 for bad input, and
-    # never an escaping exception.
-    text, start, word = case
+def test_mutated_files_never_crash(capsys, monkeypatch, case):
+    # The exit-code contract on every command that reads a file, printing
+    # to a strict UTF-8 stdout: 0 or 1 for a verdict, 2 for bad input,
+    # never an escaping exception, and a handler's 2 with exactly one
+    # error line.  A request argparse refuses (such as a start state
+    # named -x) exits 2 through SystemExit with its usage text.  A command
+    # of two files gets a demo file as well, on either side.
+    text, start, word, other, first = case
+    _strict_utf8_stdout(monkeypatch)
     with tempfile.TemporaryDirectory() as scratch:
         path = str(Path(scratch) / "fuzz.machine")
         Path(path).write_text(text, encoding="utf-8")
-        assert main(["validate", path]) in (0, 1, 2)
-        assert main(["run", path, "--start", start, "--word", word]) in (0, 1, 2)
+        two = [path, other] if first else [other, path]
+        argvs = [
+            ["validate", path],
+            ["run", path, "--start", start, "--word", word],
+            ["homs", *two],
+            ["compose", *two],
+            ["compose", *two, "-o", str(Path(scratch) / "out.machine")],
+            *(["transform", op, path] for op in ("moorify", "decapitate", "d1", "embed-j")),
+            ["check", "soft", path],
+            ["check", "n-soft", "2", path],
+            ["check", "counit", path],
+            ["check", "extension-square", "3", path],
+            ["check", "j-compat", *two],
+            ["adjunction", *two],
+            ["correspondence", *two],
+            ["search-identity", "--alphabet", "0,1", "--max-states", "1", "--probe", path],
+        ]
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2 and capsys.readouterr().err.startswith("usage: mealymoore ")
+                continue
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 class TestRun:
     def test_mealy(self, files, capsys):
-        assert main(["run", files["par"], "--start", "q0", "--word", "101"]) == 0
-        assert capsys.readouterr().out == "final: 0\ntrace: 1 1 0\n"
+        for flag in ("--word", "--wo"):  # argparse reads the abbreviation
+            assert main(["run", files["par"], "--start", "q0", flag, "101"]) == 0
+            assert capsys.readouterr().out == "final: 0\ntrace: 1 1 0\n"
 
     def test_moore(self, files, capsys):
         assert main(["run", files["cpar"], "--start", "q0", "--word", "101"]) == 0
@@ -265,7 +335,8 @@ class TestRun:
         assert main(["run", files["par"], "--start", "zz", "--word", "1"]) == 2
 
     def test_letter_outside_alphabet(self, files, capsys):
-        assert main(["run", files["par"], "--start", "q0", "--word", "2"]) == 2
+        for word in ("2", "1x1"):
+            assert main(["run", files["par"], "--start", "q0", "--word", word]) == 2
 
     def test_empty_word_on_mealy(self, files, capsys):
         assert main(["run", files["par"], "--start", "q0", "--word", ""]) == 2
@@ -385,7 +456,7 @@ def test_homs_on_a_surrogate_state_is_bad_input(files, capsys, monkeypatch):
 
 def test_run_on_a_surrogate_output_symbol_is_bad_input(files, capsys, monkeypatch):
     # cpar with its output symbol 1 written as the JSON escape \ud800y.
-    doc = _cpar_doc()
+    doc = _demo_doc()
     doc["output"] = ["0", "\ud800y"]
     doc["out"]["q1"] = "\ud800y"
     path = files["dir"] / "surrogate.machine"
@@ -497,6 +568,7 @@ class TestCheck:
 
     def test_pentagon_wrong_arity(self, files, capsys):
         assert main(["check", "pentagon", files["par"]]) == 2
+        assert main(["check", "pentagon", files["par"], files["cpar"], files["u2"]]) == 2
 
     def test_pentagon_has_no_sampling_mode(self, capsys):
         # The pentagon holds by definition, so a sampled run would cover
@@ -581,6 +653,18 @@ class TestSearchIdentity:
         out = capsys.readouterr().out
         assert rc == 1
         assert "warning:" in out
+
+    def test_input_ignoring_probe_has_survivors(self, files, capsys):
+        # s0 → s1 → s2 → s1 → … on every letter, emitting 1 at s2 only:
+        # 162 of the 3-state candidates pass (test_lab.py counts them too).
+        nxt = {"s0": "s1", "s1": "s2", "s2": "s1"}
+        cells = [(e, a) for e in nxt for a in "01"]
+        probe = str(files["dir"] / "drift.machine")
+        save_machine(MealyMachine(BITS, BITS, tuple(nxt), {(e, a): nxt[e] for e, a in cells},
+                                  {(e, a): "1" if e == "s2" else "0" for e, a in cells}), probe)
+        assert main(["search-identity", "--alphabet", "0,1", "--max-states", "3",
+                     "--probe", probe]) == 1
+        assert "\nsurvivors: 162\n" in capsys.readouterr().out
 
 
 def test_unitize_demo(capsys):
@@ -715,12 +799,21 @@ def test_every_command_exits_0_or_2_without_a_traceback(words, extra, tmp_path, 
                                                          capsys):
     # An exception escaping main is a traceback and exit 1 ("law violated").
     monkeypatch.chdir(tmp_path)
+    # Help goes to stdout; argparse refuses with usage text, and a
+    # handler with one error line, on stderr.
     try:
-        code = main(list(words) + extra)
+        code, by_argparse = main(list(words) + extra), False
     except SystemExit as exc:
-        code = exc.code
+        code, by_argparse = exc.code, True
+    out, err = capsys.readouterr()
     assert code in (0, 2)
-    assert "Traceback" not in capsys.readouterr().err
+    assert "Traceback" not in err
+    if extra == ["-h"]:
+        assert code == 0 and out.startswith("usage: mealymoore %s [-h]" % " ".join(words))
+    elif code == 2 and by_argparse:
+        assert err.startswith("usage: mealymoore ")
+    elif code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _readme_requests():
@@ -743,6 +836,14 @@ BENCHMARK_REQUESTS = [
     ["homs", "f", "g"],
     ["adjunction", "f", "g"],
 ]
+
+
+def test_readme_requests_exit_0(tmp_path, monkeypatch, capsys):
+    # In order, from a copy of the repository's demos/, as the README runs them.
+    shutil.copytree(DEMO_MACHINES, tmp_path / "demos" / "machines")
+    monkeypatch.chdir(tmp_path)
+    for argv in _readme_requests():
+        assert main(argv) == 0, argv
 
 
 @pytest.mark.parametrize("argv", _readme_requests() + BENCHMARK_REQUESTS, ids=" ".join)

@@ -19,6 +19,7 @@ from mealymoore import (
     check_j_compatibilities,
     check_pentagon,
     compose_cells,
+    compose_maps,
     compose_mealy,
     compose_moore,
     d_iter,
@@ -254,6 +255,28 @@ class TestLazyTables:
         text = serialize_machine(m)
         name = "⟨" * 2000 + "s" + ",s⟩" * 2000
         assert json.loads(text)["states"] == [name]
+
+    def test_deep_chains_compare_without_recursion(self, bits):
+        def cell(s):
+            return MooreMachine(bits, bits, (s,), {(s, "0"): s, (s, "1"): s}, {s: "0"})
+
+        def chain(s):  # 2,000 levels, each over a freshly built cell
+            m = cell(s)
+            for _ in range(2000):
+                m = compose_cells(m, cell(s))
+            return m
+
+        a, b, c = chain("s"), chain("s"), chain("t")
+        assert a == b and b == a and a != c
+        assert "states" not in a.__dict__ and "states" not in b.__dict__
+        assert compose_maps(identity_map(a), identity_map(b))._img == (0,)
+        with pytest.raises(EndpointMismatch):
+            compose_maps(identity_map(a), identity_map(c))
+        # x ← x⋄x sixty times, twice apart: each pair of factors is compared once.
+        x, y = cell("s"), cell("s")
+        for _ in range(60):
+            x, y = compose_cells(x, x), compose_cells(y, y)
+        assert x == y
 
 
 class TestStateBijection:

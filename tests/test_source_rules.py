@@ -1,8 +1,10 @@
 """Rules over the source text itself, read with the standard library's
-``ast`` alone, and over what importing the CLI loads."""
+``ast`` alone, over the CI workflows' text, and over what importing the
+CLI loads."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +69,17 @@ def test_every_private_name_is_referred_to():
                  if name.startswith("_") and not name.startswith("__") and name != "_"
                  and name not in used)
     assert not bad, "private names nothing in src/ refers to:\n" + "\n".join(bad)
+
+
+def test_workflows_run_no_inline_python():
+    # A Python program written into a workflow's YAML is a check only CI
+    # runs; every check CI runs must be a file the Tier-1 command runs.
+    inline = re.compile(r"\bpython[0-9.]*\s+(-c\b|-\s*<<)")
+    bad = ["%s:%d: %s" % (path.relative_to(ROOT).as_posix(), n, line.strip())
+           for path in sorted((ROOT / ".github" / "workflows").glob("*.y*ml"))
+           for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+           if inline.search(line)]
+    assert not bad, "inline Python in a workflow:\n" + "\n".join(bad)
 
 
 def test_cli_import_loads_no_dataclasses():
