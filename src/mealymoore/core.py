@@ -227,9 +227,10 @@ class _Machine(_Value):
     however deep or shared the nesting; a composite's ``states`` are
     built the same way, ``_index`` reads a nested pair in a loop, and
     ``==`` compares two composites' states by their factors, in a loop
-    (``_same_states``).  The named view, built on first access, is
-    read-only too, so on every machine the two forms agree, and no
-    machine sharing a table with another can be changed through it."""
+    (``_same_states``); a composite's repr gives its factors' kinds.
+    The named view, built on first access, is read-only too, so on every
+    machine the two forms agree, and no machine sharing a table with
+    another can be changed through it."""
 
     _fields = ("input", "output", "states", "delta", "out")
 
@@ -303,12 +304,16 @@ class _Machine(_Value):
         # The index of (f, e) is f·|first| + e, so a state's index is the
         # sum of its plain parts' indices, each scaled by the product of
         # the sizes of the factors to its right: a loop over the nesting.
+        # On x⋄x, a pair of one part twice is f·(|x| + 1): walked once.
         index, todo = 0, [(factors, s, 1)]
         while todo:
             (second, first), s, scale = todo.pop()
             if not isinstance(s, tuple) or len(s) != 2:  # a namedtuple pair names a state too
                 return None
-            for m, part, at in ((second, s[0], scale * first._n), (first, s[1], scale)):
+            parts = ((second, s[0], scale * first._n), (first, s[1], scale))
+            if second is first and s[0] is s[1]:
+                parts = ((first, s[1], scale * (first._n + 1)),)
+            for m, part, at in parts:
                 if m._factors is None:
                     try:
                         index += m._pos[part] * at
@@ -322,6 +327,14 @@ class _Machine(_Value):
         """The state fields, for a machine on the same states."""
         factors = self._factors
         return {"_n": self._n, **({"_factors": factors} if factors else {"states": self.states})}
+
+    def __repr__(self):  # a composite's builds no table and does not recurse
+        if self._factors is None:
+            return _Value.__repr__(self)
+        second, first = self._factors
+        return "%s(input=%r, output=%r, states=%d, factors=(%s, %s))" % (
+            type(self).__qualname__, self.input, self.output, self._n,
+            type(second).__qualname__, type(first).__qualname__)
 
     def __eq__(self, other):
         # Equal states and alphabets make the named and index tables
@@ -347,27 +360,6 @@ class MooreMachine(_Machine):
 
 
 Machine = Union[MealyMachine, MooreMachine]
-
-
-def _nesting(m: Machine, built=None) -> list:
-    """m and the machines in its nesting, each once, every factor before
-    the composites it is a factor of, so m comes last.  A factor whose
-    instance dict holds the field ``built`` is left out, with all below
-    it.  A loop, not a recursion, and a factor shared by several
-    composites is visited once, so a nesting costs time linear in its
-    distinct machines, however deep or shared it is."""
-    order, seen, todo = [], {id(m)}, [(m, iter(m._factors or ()))]
-    while todo:
-        node, factors = todo[-1]
-        for x in factors:
-            if id(x) not in seen and built not in x.__dict__:
-                seen.add(id(x))
-                todo.append((x, iter(x._factors or ())))
-                break
-        else:
-            todo.pop()
-            order.append(node)
-    return order
 
 
 def _same_states(m: Machine, n: Machine) -> bool:
@@ -396,12 +388,22 @@ def _build_below(m: Machine, field: str) -> None:
     that lacks it, innermost first, so that building m's own reads only
     fields already built and no build recurses.  When both factors hold
     it already, as they do for a composite of plain machines, this is
-    two dict lookups."""
+    two dict lookups.  Else a loop builds each composite below as it
+    leaves it, after its factors: each distinct composite once."""
     second, first = m._factors
     if field in second.__dict__ and field in first.__dict__:
         return
-    for node in _nesting(m, field)[:-1]:
-        getattr(node, field)
+    todo = [(m, iter(m._factors))]
+    while todo:
+        node, factors = todo[-1]
+        for x in factors:
+            if field not in x.__dict__:  # a composite: every plain machine holds its fields
+                todo.append((x, iter(x._factors)))
+                break
+        else:
+            todo.pop()
+            if todo:  # m itself is built by its caller
+                getattr(node, field)
 
 
 def _cascade(second: Machine, first: Machine) -> tuple:
@@ -593,7 +595,9 @@ class StateMap(_Value):
     machines of one kind with common endpoints is ``_trusted`` from
     ``source``, ``target`` and ``_img``, its ``map`` built on first
     access.  Equality goes by ``source``, ``target`` and ``_img``, so
-    comparing maps builds no ``map``."""
+    comparing maps builds no ``map``.  The given mapping is a dict, so
+    each state is hashed, and a tuple's hash is not kept: on a nesting
+    that shares a factor, x⋄x deep, that costs time exponential in depth."""
 
     _fields = ("source", "target", "map")
 

@@ -37,7 +37,6 @@ from .core import (
     Machine,
     MachineError,
     MealyMachine,
-    _nesting,
     validate_mealy,
     validate_moore,
 )
@@ -111,27 +110,28 @@ def load_machine(path) -> Machine:
 
 
 def render_state(s: Union[str, tuple]) -> str:
-    """Composite states print as ⟨f,e⟩ with the second-machine state first."""
-    if isinstance(s, tuple):
-        return "⟨%s⟩" % ",".join(render_state(part) for part in s)
-    return str(s)
+    """Composite states print as ⟨f,e⟩ with the second-machine state
+    first: each tuple's parts in brackets, written piece by piece in one
+    loop, in time linear in the text however deep the nesting."""
+    if not isinstance(s, tuple):
+        return str(s)
+    pieces, todo = [], [s]
+    while todo:  # what is still to write, the next piece last
+        x = todo.pop()
+        if isinstance(x, tuple):  # its parts, last first, with commas between
+            todo += "⟩", *[y for part in reversed(x) for y in (part, ",")][:-1], "⟨"
+        else:
+            pieces.append(str(x))
+    return "".join(pieces)
 
 
 def _names(m: Machine) -> list:
-    """The rendered state names of m in index order; a composite's are
-    built from its factors' rendered names, each machine's once, in a
-    loop over its nesting, innermost first."""
+    """The rendered state names of m in index order; a composite's pair
+    its factors' rendered names, each factor's rendered once."""
     if m._factors is None:
         return list(map(render_state, m.states))
-    names = {}
-    for node in _nesting(m):
-        factors = node._factors
-        if factors is None:
-            names[id(node)] = list(map(render_state, node.states))
-        else:
-            first = names[id(factors[1])]
-            names[id(node)] = ["⟨%s,%s⟩" % (f, e) for f in names[id(factors[0])] for e in first]
-    return names[id(m)]
+    second, first = (list(map(render_state, x.states)) for x in m._factors)
+    return ["⟨%s,%s⟩" % (f, e) for f in second for e in first]
 
 
 def _unencodable(m: Machine, names: list) -> str:

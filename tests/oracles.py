@@ -3,10 +3,10 @@
 Everything here recomputes results from first principles (folds over
 the named tables, bounded word exhaustion, a breadth-first search for a
 shortest distinguishing word, brute-force counts and δ-maps, pairwise
-table checks, a named-first random draw, the machine-file writer and
-reader as they were written first, on the named tables, and the
-text-mode file reader) rather than
-calling the code paths under test.  The exceptions are ``pentagon_maps`` and
+table checks, a named-first random draw, the machine-file writer, its
+state names included, and reader as they were written first, on the
+named tables, and the text-mode file reader) rather than calling the
+code paths under test.  The exceptions are ``pentagon_maps`` and
 ``rebracketed``, which read the bijections ``associator`` returns, and
 ``triangle_holds``, which reads the composites ``ucompose`` returns,
 because those are what they are about.
@@ -32,7 +32,6 @@ from mealymoore import (
     is_homomorphism,
     machine_from_raw,
     parse_machine_text,
-    render_state,
     serialize_machine,
     trace,
     ucompose,
@@ -437,13 +436,21 @@ def rebracketed(bij, h, g, f):
     )
 
 
+def state_name(s):
+    """The file name of a state, as ``render_state`` was first written:
+    a tuple is its parts' names, recursively, in ⟨⟩ with commas."""
+    if isinstance(s, tuple):
+        return "⟨%s⟩" % ",".join(state_name(part) for part in s)
+    return str(s)
+
+
 def machine_text(m):
     """The machine file of m as json.dumps prints its document: built
     from the named tables m.states, m.delta and m.out, state names by
-    render_state, then json.dumps(..., ensure_ascii=False, indent=2)."""
+    ``state_name``, then json.dumps(..., ensure_ascii=False, indent=2)."""
     name, owner = {}, {}
     for e in m.states:
-        text = name[e] = render_state(e)
+        text = name[e] = state_name(e)
         if owner.setdefault(text, e) != e:
             raise DuplicateName("states %r and %r both render as %r" % (owner[text], e, text))
     letters = m.input.symbols

@@ -15,6 +15,7 @@ from mealymoore import (
     PointedMachine,
     StateBijection,
     StateMap,
+    UnknownSymbol,
     associator,
     check_j_compatibilities,
     check_pentagon,
@@ -236,14 +237,33 @@ class TestLazyTables:
         assert is_soft(m)
         assert [phi._img for phi in enumerate_homs(m, m).homs] == [(0,)]
         assert is_homomorphism(identity_map(m))
+        # The one state is a pair of one part twice at every level.
+        assert trace(PointedMachine(m, m.states[0]), "01") == ("1", "1", "1")
         assert time.perf_counter() - started < 1.0
         assert (m._d, m._o) == ((0, 0), (1,))
+
+    def test_shared_parts_index_as_copies_do(self, bits):
+        # x ← x⋄x three times over two states: a state whose two parts are
+        # one object is walked once, and an equal copy of it part by part.
+        def copied(s):
+            return tuple(map(copied, s)) if isinstance(s, tuple) else s
+
+        m = MooreMachine(bits, bits, ("a", "b"), {(e, x): e for e in "ab" for x in "01"},
+                         {"a": "0", "b": "1"})
+        for _ in range(3):
+            m = compose_cells(m, m)
+        assert [PointedMachine(m, e)._i for e in m.states] == list(range(256))
+        assert [PointedMachine(m, copied(e))._i for e in m.states] == list(range(256))
+        with pytest.raises(UnknownSymbol):
+            PointedMachine(m, ((("c", "c"),) * 2,) * 2)
 
     def test_deep_left_nesting_reads_without_recursion(self, bits):
         cell = MooreMachine(bits, bits, ("s",), {("s", "0"): "s", ("s", "1"): "s"}, {"s": "0"})
         m = cell
         for _ in range(2000):
             m = compose_cells(m, cell)
+        assert repr(m) == ("MooreMachine(input=%r, output=%r, states=1, "
+                           "factors=(MooreMachine, MooreMachine))" % (bits, bits))
         assert "_d" not in m.__dict__
         assert is_soft(m)
         assert [phi._img for phi in enumerate_homs(m, m).homs] == [(0,)]

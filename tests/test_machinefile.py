@@ -36,7 +36,7 @@ from mealymoore import (
 from mealymoore.generate import random_mealy, random_moore
 
 from conftest import BITS, make_par
-from oracles import load_text_mode, machine_text, validate_flat
+from oracles import load_text_mode, machine_text, state_name, validate_flat
 
 
 def doc_for(m):
@@ -89,6 +89,19 @@ class TestRenderState:
 
     def test_nested(self):
         assert render_state((("h", "g"), "f")) == "⟨⟨h,g⟩,f⟩"
+
+    @pytest.mark.parametrize("s, text", [
+        ((), "⟨⟩"), (("a",), "⟨a⟩"), ((1, ("b", ()), 2), "⟨1,⟨b,⟨⟩⟩,2⟩")])
+    def test_every_arity(self, s, text):
+        assert render_state(s) == state_name(s) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(st.text("ab,⟨⟩", max_size=2) | st.integers(-9, 99),
+                        lambda parts: st.lists(parts, max_size=3).map(tuple), max_leaves=12))
+    def test_agrees_with_the_recursive_oracle(self, s):
+        # Nested tuples of arity 0-3 over str and int leaves, brackets and
+        # commas among the leaves' characters.
+        assert render_state(s) == state_name(s)
 
 
 class TestParseErrors:

@@ -4,8 +4,19 @@ each must give its verdicts within 60 s, building its machines included."""
 import itertools
 import random
 import time
+import tracemalloc
 
-from mealymoore import Alphabet, MealyMachine, MooreMachine, PointedMachine, bisimilar, compose_cells, trace
+from mealymoore import (
+    Alphabet,
+    MealyMachine,
+    MooreMachine,
+    PointedMachine,
+    bisimilar,
+    compose_cells,
+    render_state,
+    serialize_machine,
+    trace,
+)
 from mealymoore.generate import random_mealy, random_moore
 
 LIMIT_S = 60
@@ -66,4 +77,29 @@ def test_cascade_walk_on_a_200000_letter_word():
         if first_kind is random_moore and second_kind is random_moore:
             upstream = upstream[:-1]  # a Moore downstream machine reads only the J-trace
         assert trace(PointedMachine(m, (f0, e0)), iter(word)) == tuple(_j_trace(second, f0, upstream))
+    assert time.perf_counter() - start < LIMIT_S
+
+
+def test_a_20000_level_nesting_prints_in_linear_time_and_memory():
+    # A left-nested chain of a one-state cell: its one state's name is
+    # 400 KB of text.  repr builds no table; serialize_machine renders
+    # each factor's names once, so its traced peak is about 10 MB, where
+    # keeping every inner level's names peaked at over 1,500 MB.
+    start = time.perf_counter()
+    bits, k = Alphabet("bits", ("0", "1")), 20000
+    cell = MooreMachine(bits, bits, ("s",), {("s", "0"): "s", ("s", "1"): "s"}, {"s": "1"})
+    m = cell
+    for _ in range(k):
+        m = compose_cells(m, cell)
+    assert repr(m).startswith("MooreMachine(input=Alphabet(")
+    assert not {"states", "_d", "delta", "out"} & set(m.__dict__)
+    tracemalloc.start()
+    try:
+        text = serialize_machine(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    name = "⟨" * k + "s" + ",s⟩" * k
+    assert peak < 16 * 2**20 and '"%s"' % name in text
+    assert render_state(m.states[0]) == name
     assert time.perf_counter() - start < LIMIT_S

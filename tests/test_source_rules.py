@@ -71,6 +71,19 @@ def test_every_private_name_is_referred_to():
     assert not bad, "private names nothing in src/ refers to:\n" + "\n".join(bad)
 
 
+def test_no_function_calls_itself():
+    # A recursion is bounded by the stack, not by the input: every walk
+    # over a nesting or a search in src/mealymoore/ is a loop.  A call
+    # through an attribute, such as _Value.__init__(self, ...), is a
+    # delegation and passes.
+    bad = ["%s:%d: %s" % (path, call.lineno, node.name)
+           for path, tree in _modules("src/mealymoore")
+           for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+           for call in ast.walk(node)
+           if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == node.name]
+    assert not bad, "functions that call their own name:\n" + "\n".join(bad)
+
+
 def test_workflows_run_no_inline_python():
     # A Python program written into a workflow's YAML is a check only CI
     # runs; every check CI runs must be a file the Tier-1 command runs.
