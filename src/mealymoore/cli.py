@@ -9,8 +9,9 @@ declares the parser it records, for each command's words, the actions
 command words, a token for every positional, then exact flags each
 followed by one value, is read straight from that record into the
 Namespace argparse would build.  Every other argv, one that leaves a
-positional out or gives a variadic one included, goes to argparse,
-which alone fills in defaults and writes help, usage and error text.
+positional out or gives the wrong number of files included, goes to
+argparse, which alone fills in defaults and writes help, usage and
+error text.
 """
 
 from __future__ import annotations
@@ -134,8 +135,6 @@ def _verdict(label, ok):
 
 
 def _cmd_check(args):
-    if args.law == "pentagon" and len(args.files) != 4:
-        raise MachineError("check pentagon takes four machine files")
     machines = list(map(load_machine, args.files))
     m = machines[0]
     if args.law == "soft":
@@ -213,8 +212,7 @@ class _Command:
     positionals in order with the tokens each takes, their sum (the
     arity), the flags that take one value, the required flags and the
     Namespace defaults.  A positional takes one token, or n for an
-    integer nargs n; a "*" positional gives the command no arity, so
-    its requests always go to argparse."""
+    integer nargs n."""
 
     def __init__(self, parser, depth, defaults):
         self.parser, self.depth, self.defaults = parser, depth, defaults
@@ -227,8 +225,7 @@ class _Command:
         if not action.option_strings:
             take = 1 if action.nargs in (None, "?") else action.nargs
             self.positionals.append((action, take))
-            fixed = isinstance(take, int) and self.arity is not None
-            self.arity = self.arity + take if fixed else None
+            self.arity += take
         elif action.nargs is None:
             self.flags.update(dict.fromkeys(action.option_strings, action))
         if action.required and action.option_strings:
@@ -291,7 +288,7 @@ def build_parser():
     c.add_argument("files", nargs=2, metavar="FILE",
                    help="the downstream machine file, then the upstream one")
     c = command(("check", "pentagon"), _cmd_check)
-    c.add_argument("files", nargs="*", metavar="FILE")
+    c.add_argument("files", nargs=4, metavar="FILE")
 
     p = command(("homs",), _cmd_homs, help="enumerate all homomorphisms FIRST → SECOND")
     p.add_argument("first")
@@ -342,9 +339,9 @@ def _plain_args(commands, argv):
     recorded grammar, when argv is in plain form: the command words,
     exactly as many positional tokens as the command's arity, then exact
     flags, each followed by one value that does not start with "-".
-    None for any other argv, omitted or variadic positionals included,
-    and for every argv that argparse refuses, so that argparse alone
-    fills those in and writes help and error text."""
+    None for any other argv, omitted positionals included, and for
+    every argv that argparse refuses, so that argparse alone fills
+    those in and writes help and error text."""
     command = commands.get(tuple(argv[:1])) or commands.get(tuple(argv[:2]))
     if command is None:
         return None

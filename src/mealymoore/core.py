@@ -125,8 +125,31 @@ class _Value:
         return [getattr(self, f) for f in self._fields] == [getattr(other, f) for f in self._fields]
 
     def __repr__(self):
-        fields = ("%s=%r" % (f, getattr(self, f)) for f in self._fields)
+        fields = ("%s=%s" % (f, _repr(getattr(self, f))) for f in self._fields)
         return "%s(%s)" % (type(self).__qualname__, ", ".join(fields))
+
+
+def _repr(value) -> str:
+    """repr(value), with every tuple, dict and read-only view of one in
+    it written in one loop, so that a state nested thousands of levels
+    deep prints; the text is the builtin repr's wherever that succeeds."""
+    def item(x):  # a container still to open, or the text of anything else
+        return x if type(x) in (tuple, dict, MappingProxyType) else repr(x)
+
+    pieces, todo = [], [item(value)]
+    while todo:  # text to write and containers to open, the next one last
+        x = todo.pop()
+        if type(x) is str:
+            pieces.append(x)
+        elif type(x) is MappingProxyType:
+            todo += ")", item(x.copy()), "mappingproxy("
+        elif type(x) is dict:
+            parts = [y for k, v in x.items() for y in (", ", item(k), ": ", item(v))]
+            todo += "}", *reversed(parts[1:]), "{"
+        else:
+            parts = [y for part in x for y in (", ", item(part))]
+            todo += ",)" if len(x) == 1 else ")", *reversed(parts[1:]), "("
+    return "".join(pieces)
 
 
 class _lazy:

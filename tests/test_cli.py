@@ -568,14 +568,18 @@ class TestCheck:
         assert main(["check", "pentagon"] + quad) == 0
 
     def test_pentagon_wrong_arity(self, files, capsys):
-        assert main(["check", "pentagon", files["par"]]) == 2
-        assert main(["check", "pentagon", files["par"], files["cpar"], files["u2"]]) == 2
+        for quad in ([files["par"]], [files["par"], files["cpar"], files["u2"]]):
+            with pytest.raises(SystemExit) as exc:
+                main(["check", "pentagon"] + quad)
+            assert exc.value.code == 2
+            assert "the following arguments are required: FILE" in capsys.readouterr().err
 
-    def test_pentagon_has_no_sampling_mode(self, capsys):
+    def test_pentagon_has_no_sampling_mode(self, files, capsys):
         # The pentagon holds by definition, so a sampled run would cover
         # nothing; --samples is an unknown option.
+        quad = [files["par"], files["cpar"], files["u2"], files["p2"]]
         with pytest.raises(SystemExit) as exc:
-            main(["check", "pentagon", "--samples", "20"])
+            main(["check", "pentagon"] + quad + ["--samples", "20"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -724,7 +728,9 @@ def test_parser_is_built_once_and_shared(files, monkeypatch, capsys):
 
     quad = [files["par"], files["cpar"], files["u2"], files["p2"]]
     assert main(["check", "pentagon"] + quad) == 0
-    assert main(["check", "pentagon"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "pentagon"])
+    assert exc.value.code == 2
 
     with pytest.raises(SystemExit) as exc:
         main(["validate"])
@@ -773,7 +779,7 @@ def requests(draw):
     if words not in COMMANDS or draw(st.booleans()):
         return list(words) + draw(st.lists(token, max_size=6))
     command, value = COMMANDS[words], st.sampled_from(TOKEN_KINDS[0])
-    arity = command.arity or 0  # None for a variadic command
+    arity = command.arity
     tokens = draw(st.lists(value, min_size=arity, max_size=arity + 1))
     flags = [action.option_strings[-1] for action in command.required]
     if command.flags:
@@ -850,23 +856,21 @@ def test_readme_requests_exit_0(tmp_path, monkeypatch, capsys):
         assert main(argv) == 0, argv
 
 
-@pytest.mark.parametrize("argv", _readme_requests() + BENCHMARK_REQUESTS, ids=" ".join)
+@pytest.mark.parametrize("argv", _readme_requests() + BENCHMARK_REQUESTS
+                         + [["check", "pentagon", "f", "g", "h", "k"]], ids=" ".join)
 def test_plain_requests_are_read_from_the_grammar(argv):
     plain = cli._plain_args(COMMANDS, argv)
     assert plain is not None and vars(plain) == _argparse_vars(argv)
 
 
 def test_omitted_and_variadic_positionals_go_to_argparse(files, capsys):
-    # The file of transform u is left out, and the files of check pentagon
-    # are variadic: neither request has a plain arity, so argparse reads it.
+    # The file of transform u is left out, so the request is short of the
+    # command's arity and argparse reads it.  No command has a variadic
+    # positional: check pentagon takes exactly four files.
     universal = ["transform", "u", "--alphabet", "0,1"]
-    pentagon = ["check", "pentagon", files["par"], files["cpar"], files["u2"], files["p2"]]
     assert cli._plain_args(COMMANDS, universal) is None
-    assert cli._plain_args(COMMANDS, pentagon) is None
     assert main(universal) == 0
     assert capsys.readouterr().out == serialize_machine(universal_u(BITS))
-    assert main(pentagon) == 0
-    assert capsys.readouterr().out == "pentagon: true\n"
 
 
 def test_main_reads_plain_requests_without_argparse(files, monkeypatch, capsys):

@@ -275,6 +275,13 @@ class TestLazyTables:
         text = serialize_machine(m)
         name = "⟨" * 2000 + "s" + ",s⟩" * 2000
         assert json.loads(text)["states"] == [name]
+        # Values that print the state write it in a loop, as repr would.
+        state = "(" * 2000 + "'s'" + ", 's')" * 2000
+        identity = "StateMap(source=%r, target=%r, map=mappingproxy({%s: %s}))" % (m, m, state, state)
+        assert repr(PointedMachine(m, s)) == "PointedMachine(machine=%r, start=%s)" % (m, state)
+        assert repr(identity_map(m)) == identity
+        assert repr(enumerate_homs(m, m)) == "HomSet(source=%r, target=%r, homs=(%s,))" % (
+            m, m, identity)
 
     def test_deep_chains_compare_without_recursion(self, bits):
         def cell(s):

@@ -2,6 +2,7 @@ import random
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mealymoore import (
     Alphabet,
@@ -276,6 +277,21 @@ class TestValuesAreImmutable:
         fields = ", ".join("%s=%r" % (f, getattr(value, f)) for f in value._fields)
         assert repr(value) == "%s(%s)" % (name, fields)
         assert " at 0x" not in repr(value)
+
+    @given(st.lists(st.recursive(st.text(max_size=2) | st.integers(),
+                                 lambda inner: st.lists(inner, max_size=3).map(tuple),
+                                 max_leaves=8), min_size=1, max_size=3, unique=True))
+    def test_repr_is_the_builtin_one_on_shallow_nestings(self, states):
+        # The states, and the keys of delta and of a map, are tuples of
+        # up to three parts, 1-tuples and () among them, over str and int
+        # names; every field but an already checked value is printed by
+        # the builtin repr.
+        one = Alphabet("one", ("a",))
+        m = MooreMachine(one, one, tuple(states), {(e, "a"): e for e in states},
+                         dict.fromkeys(states, "a"))
+        for value in (m, PointedMachine(m, states[-1]), identity_map(m)):
+            fields = ", ".join("%s=%r" % (f, getattr(value, f)) for f in value._fields)
+            assert repr(value) == "%s(%s)" % (type(value).__qualname__, fields)
 
     @pytest.mark.parametrize("name", sorted(_values()))
     def test_unequal_to_other_classes(self, name):

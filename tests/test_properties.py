@@ -1,8 +1,9 @@
-"""Randomized invariants over machine space, driven by hypothesis."""
+"""Randomized invariants over machine space, driven by hypothesis, and
+the one hypothesis comparison of each index-form kernel with its oracle
+in ``oracles.py``."""
 
 import itertools
 import random
-import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,21 +18,18 @@ from mealymoore import (
     StateMap,
     apply_D1,
     bisimilar,
+    check_pentagon,
     compose_cells,
     compose_maps,
-    compose_mealy,
     d_iter,
     embed_j,
     enumerate_homs,
     is_homomorphism,
     is_n_soft,
     is_soft,
-    ltimes,
     machine_from_raw,
     parse_machine_text,
     render_state,
-    rtimes,
-    check_pentagon,
     run,
     serialize_machine,
     trace,
@@ -44,170 +42,17 @@ from oracles import (
     fold_state,
     fold_trace,
     homs,
-    letter_independent,
     n_soft,
     table_hom,
     tables,
     words_up_to,
 )
 
-
-def alphabets(max_size=3):
-    return st.integers(1, max_size).map(
-        lambda k: Alphabet("A%d" % k, tuple(string.ascii_lowercase[:k]))
-    )
-
-
-@st.composite
-def mealys(draw, inp=None, outp=None, max_states=3):
-    inp = inp or draw(alphabets())
-    outp = outp or draw(alphabets())
-    n = draw(st.integers(1, max_states))
-    states = tuple("e%d" % i for i in range(n))
-    keys = [(e, a) for e in states for a in inp.symbols]
-    delta = dict(zip(keys, draw(st.lists(
-        st.sampled_from(states), min_size=len(keys), max_size=len(keys)))))
-    out = dict(zip(keys, draw(st.lists(
-        st.sampled_from(outp.symbols), min_size=len(keys), max_size=len(keys)))))
-    return MealyMachine(inp, outp, states, delta, out)
-
-
-@st.composite
-def moores(draw, inp=None, outp=None, max_states=3):
-    inp = inp or draw(alphabets())
-    outp = outp or draw(alphabets())
-    n = draw(st.integers(1, max_states))
-    states = tuple("e%d" % i for i in range(n))
-    keys = [(e, a) for e in states for a in inp.symbols]
-    delta = dict(zip(keys, draw(st.lists(
-        st.sampled_from(states), min_size=len(keys), max_size=len(keys)))))
-    out = dict(zip(states, draw(st.lists(
-        st.sampled_from(outp.symbols), min_size=n, max_size=n))))
-    return MooreMachine(inp, outp, states, delta, out)
-
-
-@st.composite
-def pointed_with_word(draw, machine_strategy):
-    m = draw(machine_strategy)
-    start = draw(st.sampled_from(m.states))
-    word = tuple(draw(st.lists(st.sampled_from(m.input.symbols), max_size=8)))
-    return PointedMachine(m, start), word
-
-
-@given(pointed_with_word(mealys()))
-def test_mealy_trace_length(pw):
-    p, w = pw
-    assert len(trace(p, w)) == len(w)
-
-
-@given(pointed_with_word(moores()))
-def test_moore_trace_length(pw):
-    p, w = pw
-    assert len(trace(p, w)) == len(w) + 1
-
-
-@given(pointed_with_word(mealys()), st.data())
-def test_trace_prefix_coherence(pw, data):
-    p, w = pw
-    a = data.draw(st.sampled_from(p.machine.input.symbols))
-    assert trace(p, w + (a,))[: len(w)] == trace(p, w)
-
-
-@given(st.data())
-def test_composite_carrier_size(data):
-    mid = data.draw(alphabets())
-    first = data.draw(mealys(outp=mid))
-    second = data.draw(mealys(inp=mid))
-    cc = compose_mealy(second, first)
-    assert len(cc.states) == len(first.states) * len(second.states)
-
-
-@given(st.data())
-def test_mixed_composites_are_letter_independent(data):
-    mid = data.draw(alphabets())
-    cc = rtimes(data.draw(mealys(inp=mid)), data.draw(moores(outp=mid)))
-    assert isinstance(cc, MooreMachine)
-    assert letter_independent(embed_j(cc))
-    cc2 = ltimes(data.draw(moores(inp=mid)), data.draw(mealys(outp=mid)))
-    assert isinstance(cc2, MooreMachine)
-    assert letter_independent(embed_j(cc2))
-
-
-@settings(max_examples=40)
-@given(st.data())
-def test_pentagon_random_quadruples(data):
-    a1, a2, a3, a4, a5 = (data.draw(alphabets(2)) for _ in range(5))
-    kinds = [mealys, moores]
-    f = data.draw(data.draw(st.sampled_from(kinds))(inp=a1, outp=a2, max_states=2))
-    g = data.draw(data.draw(st.sampled_from(kinds))(inp=a2, outp=a3, max_states=2))
-    h = data.draw(data.draw(st.sampled_from(kinds))(inp=a3, outp=a4, max_states=2))
-    k = data.draw(data.draw(st.sampled_from(kinds))(inp=a4, outp=a5, max_states=2))
-    assert check_pentagon(k, h, g, f)
-
-
-@given(moores(), st.integers(1, 4))
-def test_soft_implies_n_soft(m, n):
-    if is_soft(m):
-        assert is_n_soft(m, n)
-
-
-@given(moores(), st.integers(1, 3), st.integers(1, 2))
-def test_n_soft_implies_multiples(m, n, k):
-    if is_n_soft(m, n):
-        assert is_n_soft(m, n * k)
-
-
-def test_n_soft_hierarchy_is_not_monotone():
-    # A period-2 oscillator: out returns to itself after an even number
-    # of steps only, so the machine is 2-soft yet not 1- or 3-soft.
-    one = Alphabet("one", ("a",))
-    two = Alphabet("two", ("x", "y"))
-    osc = MooreMachine(
-        one, two, ("e0", "e1"),
-        {("e0", "a"): "e1", ("e1", "a"): "e0"},
-        {"e0": "x", "e1": "y"},
-    )
-    assert is_n_soft(osc, 2)
-    assert not is_n_soft(osc, 1)
-    assert not is_n_soft(osc, 3)
-
-
-@given(moores())
-def test_soft_iff_one_soft(m):
-    assert is_soft(m) == is_n_soft(m, 1)
-
-
-@given(st.data())
-def test_hom_composition_closure(data):
-    a = data.draw(alphabets(2))
-    b = data.draw(alphabets(2))
-    m1 = data.draw(mealys(inp=a, outp=b, max_states=2))
-    m2 = data.draw(mealys(inp=a, outp=b, max_states=2))
-    m3 = data.draw(mealys(inp=a, outp=b, max_states=2))
-    for phi in enumerate_homs(m1, m2).homs:
-        for psi in enumerate_homs(m2, m3).homs:
-            assert is_homomorphism(compose_maps(psi, phi))
-
-
-@given(st.data())
-def test_compose_cells_kind_table(data):
-    mid = data.draw(alphabets(2))
-    mealy_in = data.draw(mealys(outp=mid, max_states=2))
-    mealy_out = data.draw(mealys(inp=mid, max_states=2))
-    moore_in = data.draw(moores(outp=mid, max_states=2))
-    moore_out = data.draw(moores(inp=mid, max_states=2))
-    assert isinstance(compose_cells(mealy_out, mealy_in), MealyMachine)
-    assert isinstance(compose_cells(moore_out, mealy_in), MooreMachine)
-    assert isinstance(compose_cells(mealy_out, moore_in), MooreMachine)
-    assert isinstance(compose_cells(moore_out, moore_in), MooreMachine)
-
-
-# ------------------------------------------------ index kernels vs oracles
-#
 # The kernels read the index form; the oracles in ``oracles.py`` read the
 # named tables.  Machines are drawn with string, tuple and composite state
-# names and with output alphabets whose symbols are not in sorted order,
-# so a kernel that mixed up names and indices would disagree.
+# names, tables listed in another order than the states and letters, and
+# alphabets whose symbols are not in sorted order, so a kernel that mixed
+# up names and indices would disagree.
 
 ORACLE = settings(max_examples=50, deadline=None)
 
@@ -261,22 +106,74 @@ def endpoints(draw, max_size=3):
     return draw(unsorted_alphabets(max_size)), draw(unsorted_alphabets(max_size))
 
 
-@ORACLE
+@settings(max_examples=40)
+@given(st.data())
+def test_pentagon_random_quadruples(data):
+    a = [data.draw(unsorted_alphabets(2)) for _ in range(5)]
+    f, g, h, k = (data.draw(plain_cells(a[i], a[i + 1], data.draw(st.booleans()), 2))
+                  for i in range(4))
+    assert check_pentagon(k, h, g, f)
+
+
+@given(st.data(), st.integers(1, 4))
+def test_soft_implies_n_soft(data, n):
+    m = data.draw(plain_cells(*data.draw(endpoints()), True, 3))
+    if is_soft(m):
+        assert is_n_soft(m, n)
+
+
+@given(st.data(), st.integers(1, 3), st.integers(1, 2))
+def test_n_soft_implies_multiples(data, n, k):
+    m = data.draw(plain_cells(*data.draw(endpoints()), True, 3))
+    if is_n_soft(m, n):
+        assert is_n_soft(m, n * k)
+
+
+def test_n_soft_hierarchy_is_not_monotone():
+    # A period-2 oscillator: out returns to itself after an even number
+    # of steps only, so the machine is 2-soft yet not 1- or 3-soft.
+    one = Alphabet("one", ("a",))
+    two = Alphabet("two", ("x", "y"))
+    osc = MooreMachine(
+        one, two, ("e0", "e1"),
+        {("e0", "a"): "e1", ("e1", "a"): "e0"},
+        {"e0": "x", "e1": "y"},
+    )
+    assert is_n_soft(osc, 2)
+    assert not is_n_soft(osc, 1)
+    assert not is_n_soft(osc, 3)
+
+
+@given(st.data())
+def test_hom_composition_closure(data):
+    a, b = data.draw(endpoints(2))
+    m1, m2, m3 = (data.draw(plain_cells(a, b, False, 2)) for _ in range(3))
+    for phi in enumerate_homs(m1, m2).homs:
+        for psi in enumerate_homs(m2, m3).homs:
+            assert is_homomorphism(compose_maps(psi, phi))
+
+
+# ------------------------------------------------ index kernels vs oracles
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_compose_cells_matches_cascade(data):
+    # tables() holds the kind and the states, so this also checks the
+    # kind of each of the four kinds of composite and its carrier.
     a, b = data.draw(endpoints())
     mid = data.draw(unsorted_alphabets())
     first, second = data.draw(cells(a, mid)), data.draw(cells(mid, b))
     assert tables(compose_cells(second, first)) == cascade(second, first)
 
 
-@ORACLE
+@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_enumerate_homs_matches_brute_force(data):
     a, b = data.draw(endpoints(2))
     moore = data.draw(st.booleans())
-    m1 = data.draw(cells(a, b, moore))
-    m2 = data.draw(st.one_of(st.just(m1), cells(a, b, moore)))
+    m1 = data.draw(cells(a, b, moore, max_states=4))
+    m2 = data.draw(st.one_of(st.just(m1), cells(a, b, moore, max_states=4)))
     assert enumerate_homs(m1, m2).maps() == homs(m1, m2)
 
 
@@ -293,16 +190,21 @@ def test_is_homomorphism_matches_table_check(data):
         assert is_homomorphism(StateMap(m1, m2, mapping)) == table_hom(m1, m2, mapping)
 
 
-@ORACLE
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_trace_and_run_match_folds(data):
+    # Every word of at most 3 letters and each longer prefix of one drawn
+    # word of at most 9, so trace keeps the folds' length and prefix laws.
     a, b = data.draw(endpoints())
     m = data.draw(cells(a, b))
+    drawn = tuple(data.draw(st.lists(st.sampled_from(a.symbols), max_size=9)))
+    words = words_up_to(a, 3) + [drawn[:k] for k in range(4, len(drawn) + 1)]
     for start in m.states:
-        for word in words_up_to(a, 3):
-            assert trace(PointedMachine(m, start), word) == fold_trace(m, start, word)
+        p = PointedMachine(m, start)
+        for word in words:
+            assert trace(p, word) == fold_trace(m, start, word)
             if word or isinstance(m, MooreMachine):
-                assert run(PointedMachine(m, start), word) == fold_run(m, start, word)
+                assert run(p, word) == fold_run(m, start, word)
 
 
 @st.composite
@@ -352,22 +254,22 @@ def test_long_words_match_folds(second_moore, first_moore, data):
     assert d_iter(m, start, ()) == start
 
 
-@ORACLE
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_bisimilar_matches_word_exhaustion(data):
     a, b = data.draw(endpoints(2))
     moore = data.draw(st.booleans())
-    m = data.draw(cells(a, b, moore, max_states=2))
-    n = data.draw(st.one_of(st.just(m), cells(a, b, moore, max_states=2)))
+    m = data.draw(cells(a, b, moore, max_states=4))
+    n = data.draw(st.one_of(st.just(m), cells(a, b, moore, max_states=4)))
     s, t = data.draw(st.sampled_from(m.states)), data.draw(st.sampled_from(n.states))
     assert bisimilar(PointedMachine(m, s), PointedMachine(n, t)) == bisimilar_words(m, s, n, t)
 
 
-@ORACLE
+@settings(max_examples=100, deadline=None)
 @given(st.data(), st.integers(1, 4))
 def test_is_n_soft_matches_word_exhaustion(data, n):
-    a, b = data.draw(endpoints(2))
-    m = data.draw(cells(a, b, moore=True))
+    m = data.draw(cells(*data.draw(endpoints()), moore=True))
+    assert is_soft(m) == is_n_soft(m, 1) == n_soft(m, 1)
     assert is_n_soft(m, n) == n_soft(m, n)
 
 

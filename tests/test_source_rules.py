@@ -3,6 +3,7 @@
 CLI loads."""
 
 import ast
+import functools
 import os
 import re
 import subprocess
@@ -12,9 +13,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+@functools.lru_cache(maxsize=None)
 def _modules(*dirs):
     """(path relative to the repository root, parsed module) of every
-    Python file under ``dirs``, in path order."""
+    Python file under ``dirs``, in path order; each rule only reads the
+    trees, so the rules share one parse."""
     paths = sorted(p for d in dirs for p in (ROOT / d).rglob("*.py"))
     return [(p.relative_to(ROOT).as_posix(), ast.parse(p.read_bytes(), str(p))) for p in paths]
 
@@ -82,6 +85,23 @@ def test_no_function_calls_itself():
            for call in ast.walk(node)
            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == node.name]
     assert not bad, "functions that call their own name:\n" + "\n".join(bad)
+
+
+def test_no_name_is_defined_twice_in_one_body():
+    # A second def or class of one name in a module or class body replaces
+    # the first without a word, so pytest would run only the later of two
+    # tests of one name.
+    bad = []
+    for path, tree in _modules("src", "tests", "demos"):
+        classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        for body in [tree.body] + [node.body for node in classes]:
+            seen = set()
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if node.name in seen:
+                        bad.append("%s:%d: %s" % (path, node.lineno, node.name))
+                    seen.add(node.name)
+    assert not bad, "names defined twice in one body:\n" + "\n".join(bad)
 
 
 def test_workflows_run_no_inline_python():
